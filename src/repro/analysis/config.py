@@ -237,11 +237,14 @@ class AnalysisConfig:
         "repro.service.", "repro.runtime.",
     )
     #: Module prefixes where the unguarded-failover rule runs: the
-    #: pool layer, where a loop that selects a target replica must
-    #: own the all-replicas-unhealthy fall-through (explicit
-    #: ``return``/``raise`` after the loop) instead of silently
-    #: falling off the end.
-    robustness_failover_prefixes: tuple = ("repro.service.",)
+    #: pool layer and the model checker's pool world (which elects
+    #: through the same ``TenantPool``), where a loop that selects a
+    #: target replica must own the all-replicas-unhealthy fall-through
+    #: (explicit ``return``/``raise`` after the loop) instead of
+    #: silently falling off the end.
+    robustness_failover_prefixes: tuple = (
+        "repro.service.", "repro.modelcheck.",
+    )
 
     # -- lifecycle orderliness (Guardian; SGX ISA §2.1, §5.2) -------------
     #: Module prefixes whose SGX ISA call sites are checked against the

@@ -29,9 +29,11 @@ Output is a **trajectory**: ``BENCH_simwall.json`` holds a list of
 dated entries, one appended per run, so the committed file records the
 performance history across PRs rather than a single overwritable
 snapshot.  ``--baseline`` additionally gates the fresh run against the
-last committed entry (fingerprint drift fails immediately; a per-slice
-speedup below 90% of the recorded one fails as a regression).  See
-docs/performance.md for the schema.
+trajectory: fingerprint drift from the last entry fails immediately,
+and a per-slice speedup below ``REGRESSION_FLOOR`` (75%) of the median
+over the trailing ``GATE_WINDOW`` (5) entries of the same tier fails as
+a regression (slices below ``GATE_MIN_SPEEDUP`` are digest-gated
+only).  See docs/performance.md for the schema.
 
 Wall-clock and timestamp reads here are the *measurement*, not chatter
 — this module is exempted from the determinism pass by configuration
@@ -498,9 +500,11 @@ def run(argv=None):
     )
     parser.add_argument(
         "--baseline", action="store_true",
-        help="gate the fresh run against the trajectory's last entry: "
-             "fail on fingerprint divergence or a per-slice speedup "
-             f"below {REGRESSION_FLOOR:.0%} of the recorded one",
+        help="gate the fresh run against the trajectory: fail on "
+             "fingerprint divergence from the last entry, or on a "
+             f"per-slice speedup below {REGRESSION_FLOOR * 100:.0f}%% "
+             f"of the median over the last {GATE_WINDOW} entries of "
+             "the same tier",
     )
     parser.add_argument(
         "--no-write", action="store_true",

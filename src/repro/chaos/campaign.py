@@ -26,14 +26,18 @@ is recorded as a safety-invariant violation and fails the campaign.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import random
 from dataclasses import dataclass, field
 
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan
 from repro.core.config import SystemConfig
+from repro.core.digest import canonical_digest
+from repro.core.invariants import (
+    dead_enclave,
+    degradation_budget,
+    masked_faults,
+)
 from repro.core.metrics import AbortStats
 from repro.core.system import AutarkySystem
 from repro.errors import (
@@ -432,11 +436,7 @@ class _ChaosRun:
             backing.replay(eid, target)
             detail = f"replayed stale blob at {target:#x}"
         else:
-            blob = backing.get(eid, target)
-            backing.substitute(
-                eid, target,
-                dataclasses.replace(blob, mac="forged-by-chaos"),
-            )
+            backing.forge(eid, target, "forged-by-chaos")
             detail = f"forged blob at {target:#x}"
         self.injector.record_op_event(event, detail)
         # The probe: touch the page so the hostile blob gets loaded.
@@ -458,7 +458,6 @@ class _ChaosRun:
 
     def _suspend_tamper(self, event):
         driver = self.kernel.driver
-        backing = self.kernel.backing
         eid = self.enclave.enclave_id
         driver.suspend_enclave(self.enclave)
         heap = self.runtime.regions["heap"]
@@ -472,10 +471,7 @@ class _ChaosRun:
             self.injector.record_skipped(event, "nothing swapped to forge")
             return
         target = self.rng.choice(targets)
-        blob = backing.get(eid, target)
-        backing.substitute(
-            eid, target, dataclasses.replace(blob, mac="forged-by-chaos")
-        )
+        self.kernel.backing.forge(eid, target, "forged-by-chaos")
         self.injector.record_op_event(
             event, f"suspended, forged {target:#x}, resuming"
         )
@@ -516,43 +512,29 @@ class _ChaosRun:
     # -- invariants and reporting ------------------------------------------
 
     def _check_invariants(self, outcome):
-        base = self.enclave.base
-        for fault in self.kernel.fault_log:
-            if (fault.vaddr != base or fault.write or fault.exec_
-                    or fault.present):
-                self.violations.append(
-                    f"unmasked fault leaked to the OS: {fault.vaddr:#x} "
-                    f"(write={fault.write}, present={fault.present})"
-                )
-                break
+        self.violations += masked_faults(self.kernel, (self.enclave.base,))
         if self.injector.silent_consumption:
             pages = [hex(v) for v in self.injector.silent_consumption]
             self.violations.append(
                 f"tainted blobs consumed without abort: {pages}"
             )
-        pager = self.runtime.pager
-        if pager.degradations > pager.max_degradations:
-            self.violations.append(
-                f"degradations ({pager.degradations}) exceeded the "
-                f"declared budget ({pager.max_degradations})"
-            )
-        if outcome != OUTCOME_ABORTED and self.enclave.dead:
-            self.violations.append(
-                "enclave is dead but the run did not abort"
-            )
+        self.violations += degradation_budget(self.runtime.pager)
+        self.violations += dead_enclave(
+            self.enclave, outcome == OUTCOME_ABORTED
+        )
 
     def _result(self, outcome, reason):
         pager = self.runtime.pager
         balloon = self.runtime.balloon
         fired = tuple(sorted(k.value for k in self.injector.fired_kinds))
-        fingerprint = repr((
+        fingerprint = (
             self.seed, self.policy_name, outcome, reason, self.ops_done,
             self.kernel.clock.cycles, fired, pager.degradations,
             self.runtime.paging_ops.retried_calls,
             len(self.kernel.fault_log), len(self.injector.events),
             self.recoveries, self.manager.records_written,
             self.manager.records_replayed, tuple(self.violations),
-        )).encode()
+        )
         return RunResult(
             seed=self.seed,
             policy=self.policy_name,
@@ -568,7 +550,7 @@ class _ChaosRun:
             ),
             recoveries=self.recoveries,
             violations=tuple(self.violations),
-            digest=hashlib.sha256(fingerprint).hexdigest()[:16],
+            digest=canonical_digest(fingerprint)[:16],
         )
 
 

@@ -8,6 +8,8 @@ keeps the enclave safe.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.errors import SgxError
 
 
@@ -101,6 +103,12 @@ class BackingStore:
         self.tamper_log.append(("substitute", enclave_id, vaddr))
         self._pages[key] = sealed
         self.tainted.add(key)
+
+    def forge(self, enclave_id, vaddr, mac):
+        """Substitute the stored blob with a copy carrying a forged
+        ``mac``; reloading it must fail integrity verification."""
+        blob = self._pages[(enclave_id, vaddr)]
+        self.substitute(enclave_id, vaddr, dataclasses.replace(blob, mac=mac))
 
     def replay(self, enclave_id, vaddr):
         """Put the stale-shelf copy back in place (a replay attack).

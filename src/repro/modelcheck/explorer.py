@@ -19,9 +19,9 @@ sweeps keep via :func:`repro.parallel.runner.run_indexed`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
+from repro.core.digest import canonical_digest
 from repro.modelcheck import model, poolworld
 from repro.modelcheck.invariants import check_world
 from repro.parallel.runner import run_indexed
@@ -179,6 +179,5 @@ def explore(policy_name, depth=3, max_states=400, jobs=1):
         result.depth_reached = level
         frontier = next_frontier
 
-    result.digest = hashlib.sha256(
-        repr(sorted(seen)).encode()).hexdigest()
+    result.digest = canonical_digest(sorted(seen))
     return result

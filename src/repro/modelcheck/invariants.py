@@ -1,10 +1,10 @@
 """Machine-checked invariants, evaluated at every explored state.
 
-Each invariant is a function ``(world) -> list of violation strings``;
-:func:`check_world` runs them all.  They are the model-checking
-counterpart of the chaos campaign's ``_check_invariants`` — the same
-safety story, but asserted on *every* reachable state instead of once
-per run:
+:func:`check_world` returns every violation message of one world.  Its
+safety checks are :mod:`repro.core.invariants`, the functions the chaos
+campaign and the service run once per run, here asserted on *every*
+reachable state; the tainted-consumption and lifecycle checks are the
+model's own:
 
 * **three-way safety** — the world is running cleanly, degraded within
   its declared budget, or ended in a structured abort; a dead enclave
@@ -22,49 +22,13 @@ per run:
 
 from __future__ import annotations
 
+from repro.core.invariants import (
+    dead_enclave,
+    degradation_budget,
+    epc_parity,
+    masked_faults,
+)
 from repro.modelcheck.model import OUTCOME_ABORTED
-
-
-def degradation_budget(world):
-    pager = world.runtime.pager
-    if pager.degradations > pager.max_degradations:
-        return [
-            f"degradations ({pager.degradations}) exceeded the declared "
-            f"budget ({pager.max_degradations})"
-        ]
-    return []
-
-
-def dead_enclave(world):
-    if world.enclave.dead and world.outcome != OUTCOME_ABORTED:
-        return ["enclave is dead but the world did not abort"]
-    return []
-
-
-def masked_faults(world):
-    base = world.enclave.base
-    out = []
-    for fault in world.kernel.fault_log:
-        if (fault.vaddr != base or fault.write or fault.exec_
-                or fault.present):
-            out.append(
-                f"unmasked fault leaked to the OS: {fault.vaddr:#x} "
-                f"(write={fault.write}, present={fault.present})")
-            break
-    return out
-
-
-def epc_parity(world):
-    epc = world.kernel.epc
-    backed = sum(
-        len(enclave.backed)
-        for enclave in world.kernel.instr.enclaves.values())
-    if epc.free_pages + backed != epc.total_pages:
-        return [
-            f"EPC parity broken: {epc.free_pages} free + {backed} "
-            f"backed != {epc.total_pages} total"
-        ]
-    return []
 
 
 def lifecycle_protocol(world):
@@ -74,18 +38,12 @@ def lifecycle_protocol(world):
     ]
 
 
-INVARIANTS = (
-    degradation_budget,
-    dead_enclave,
-    masked_faults,
-    epc_parity,
-    lifecycle_protocol,
-)
-
-
 def check_world(world):
     """All invariant violations of one world (empty when safe)."""
-    out = []
-    for invariant in INVARIANTS:
-        out.extend(invariant(world))
-    return out
+    return (
+        degradation_budget(world.runtime.pager)
+        + dead_enclave(world.enclave, world.outcome == OUTCOME_ABORTED)
+        + masked_faults(world.kernel, (world.enclave.base,))
+        + epc_parity(world.kernel)
+        + lifecycle_protocol(world)
+    )

@@ -20,12 +20,12 @@ crash restore).  Anything else is an invariant violation.
 from __future__ import annotations
 
 import copy
-import hashlib
 
 from repro.analysis.passes.lifecycle.oracle import LifecycleOracle
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultEvent, FaultKind, FaultPlan
 from repro.core.config import SystemConfig
+from repro.core.digest import canonical_digest
 from repro.core.system import AutarkySystem
 from repro.errors import (
     AbortReason,
@@ -213,7 +213,7 @@ class World:
             # Aborted mid-recovery: the dead incarnation was reclaimed
             # and no successor was adopted.
             quota = None
-        raw = repr((
+        return canonical_digest((
             self.policy_name,
             runtime_state,
             quota,
@@ -228,8 +228,7 @@ class World:
             self.suspend_tampered,
             tuple(self.violations),
             tuple(self.oracle.violations),
-        )).encode()
-        return hashlib.sha256(raw).hexdigest()
+        ))
 
 
 class _Warmup:
@@ -403,12 +402,8 @@ def _tamper_backing(world):
         sealed[target] = dataclasses.replace(
             sealed[target], mac="forged-by-model")
     else:
-        backing = world.kernel.backing
-        eid = world.enclave.enclave_id
-        blob = backing.get(eid, target)
-        backing.substitute(
-            eid, target,
-            dataclasses.replace(blob, mac="forged-by-model"))
+        world.kernel.backing.forge(
+            world.enclave.enclave_id, target, "forged-by-model")
     world.engine.data_access(target)
     world.violations.append(
         f"enclave resumed on tampered page {target:#x} without aborting")
@@ -421,17 +416,11 @@ def _tamper_suspend_set(world):
     bypasses enclave-managed paging — so the consumption point is the
     resume's ELDU train, not a page fault.  The forgery itself is
     silent; ``resume`` must reject it."""
-    import dataclasses
-
     state = world.driver_state()
     in_pool = [base for base in state.suspend_set if base in world.pool]
     target = min(in_pool) if in_pool else min(state.suspend_set)
-    backing = world.kernel.backing
-    eid = world.enclave.enclave_id
-    blob = backing.get(eid, target)
-    backing.substitute(
-        eid, target,
-        dataclasses.replace(blob, mac="forged-by-model"))
+    world.kernel.backing.forge(
+        world.enclave.enclave_id, target, "forged-by-model")
     world.suspend_tampered = True
 
 

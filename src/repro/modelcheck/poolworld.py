@@ -6,7 +6,10 @@ tenant-pool failover, live-churn, and suspend/resume machinery of
 :mod:`repro.service` — on the smallest system where those behaviours
 exist: two tenants of two replica enclaves each, supervised by the
 real :class:`~repro.recovery.supervisor.RecoverySupervisor` on one
-shared kernel.
+shared kernel.  Each tenant is a shipped
+:class:`~repro.service.pool.TenantPool`, so primary election, replica
+health, and failover counts are the service's own code, not a model
+of it.
 
 Actions are the service's fault family shrunk to determinism: a
 request against either tenant (served by the elected primary, failed
@@ -16,9 +19,10 @@ resuming the lowest eligible replica (§5.2.1 whole-enclave swap),
 forging a suspended replica's suspend-set blob (resume must reject
 it), and retiring / re-admitting tenant 1 (live churn with EPC-parity
 teardown).  Invariants assert what the service promises: request
-accounting balances, EPC frames are never lost or double-owned,
-faults leak only masked addresses, and a pool with no healthy replica
-sheds instead of crashing.
+accounting balances, no request runs on a suspended replica, EPC
+frames are never lost or double-owned, faults leak only masked
+addresses, and a pool with no healthy replica sheds instead of
+crashing.
 
 Exhaustive at depth 3 this covers every interleaving of failover
 around suspension, churn, and integrity aborts — the schedules the
@@ -28,9 +32,9 @@ seeded chaos runs sample but cannot enumerate.
 from __future__ import annotations
 
 import copy
-import hashlib
-from dataclasses import dataclass
 
+from repro.core.digest import canonical_digest
+from repro.core.invariants import epc_parity, masked_faults
 from repro.errors import (
     EnclaveCrashed,
     EnclaveTerminated,
@@ -48,6 +52,7 @@ from repro.recovery.supervisor import (
     RestartPolicy,
 )
 from repro.runtime.libos import EnclaveLayout
+from repro.service.pool import TenantPool
 from repro.sgx.params import PAGE_SIZE
 
 #: Policy names this module implements (the explorer's dispatch key).
@@ -98,19 +103,6 @@ def _no_warmup(runtime):
     """rate_limit needs no pre-begin warm-up (picklable no-op)."""
 
 
-@dataclass
-class ReplicaSlot:
-    """Model-side bookkeeping for one replica of one tenant."""
-
-    tenant: int
-    index: int
-    name: str
-    suspended: bool = False
-    #: A suspend-set blob was forged while this replica was suspended;
-    #: its resume must fail integrity verification.
-    tampered: bool = False
-
-
 class PoolWorld:
     """One explored state of the two-tenant pool service."""
 
@@ -123,10 +115,18 @@ class PoolWorld:
             restart_policy=RestartPolicy(max_restarts=MAX_RESTARTS),
         )
         self.engines = {}
-        self.replicas = [
-            ReplicaSlot(t, r, f"t{t}/r{r}")
-            for t in range(N_TENANTS) for r in range(N_REPLICAS)
+        #: The shipped pools: election, health, and failover counts
+        #: are :class:`~repro.service.pool.TenantPool`'s own.
+        self.pools = [
+            TenantPool(
+                f"t{t}", [f"t{t}/r{r}" for r in range(N_REPLICAS)],
+                self.recovery,
+            )
+            for t in range(N_TENANTS)
         ]
+        #: Members whose suspend-set blob was forged while suspended;
+        #: their resume must fail integrity verification.
+        self.forged = set()
         #: Enclave base addresses ever booted — the masked-fault
         #: invariant accepts exactly these vaddrs in the fault log.
         self.bases = set()
@@ -137,8 +137,6 @@ class PoolWorld:
         self.aborts = [0] * N_TENANTS
         self.recoveries = [0] * N_TENANTS
         self.quarantines = [0] * N_TENANTS
-        self.failovers = [0] * N_TENANTS
-        self.last_primary = [0] * N_TENANTS
         self.ops = [0] * N_TENANTS
         self.aex = 0
         self.arrivals = 0
@@ -147,13 +145,13 @@ class PoolWorld:
         self.outcome = "running"
         self.reason = ""
         self.violations = []
-        for slot in self.replicas:
-            self._boot_replica(slot)
+        for tenant, handle in self.handles():
+            self._boot_replica(tenant, handle)
 
     # -- boot ----------------------------------------------------------------
 
-    def _program(self, slot):
-        grid = slot.tenant * N_REPLICAS + slot.index
+    def _program(self, tenant, handle):
+        grid = tenant * N_REPLICAS + handle.index
         return EnclaveProgram(
             config=_tiny_config(),
             layout=EnclaveLayout(
@@ -162,12 +160,14 @@ class PoolWorld:
                 heap_pages=8,
             ),
             warmup=_no_warmup,
-            name=slot.name,
+            name=handle.member_name,
         )
 
-    def _boot_replica(self, slot):
-        record = self.recovery.launch(slot.name, self._program(slot))
-        self.engines[slot.name] = record.program.engine(record.runtime)
+    def _boot_replica(self, tenant, handle):
+        record = self.recovery.launch(
+            handle.member_name, self._program(tenant, handle))
+        self.engines[handle.member_name] = record.program.engine(
+            record.runtime)
         self.bases.add(record.runtime.enclave.base)
 
     # -- derived state -------------------------------------------------------
@@ -176,48 +176,28 @@ class PoolWorld:
     def terminal(self):
         return bool(self.violations)
 
-    def _member(self, slot):
+    def handles(self):
+        """``(tenant, replica handle)`` pairs in canonical order."""
+        return [
+            (tenant, handle)
+            for tenant, pool in enumerate(self.pools)
+            for handle in pool.replicas
+        ]
+
+    def _member(self, handle):
         """The supervisor record, or ``None`` after teardown."""
         try:
-            return self.recovery.member(slot.name)
+            return self.recovery.member(handle.member_name)
         except KeyError:
             return None
 
-    def _live_runtime(self, slot):
-        record = self._member(slot)
+    def _live_runtime(self, handle):
+        record = self._member(handle)
         if record is None or record.runtime is None:
             return None
         if record.runtime.enclave.dead:
             return None
         return record.runtime
-
-    def _healthy(self, slot):
-        if self.departed[slot.tenant] or slot.suspended:
-            return False
-        record = self._member(slot)
-        return record is not None and record.state == RUNNING
-
-    def _peek_primary(self, tenant):
-        """The replica a request would run on — *pure* (no failover
-        accounting), for action-enabling checks."""
-        for slot in self.replicas:
-            if slot.tenant == tenant and self._healthy(slot):
-                return slot
-        return None
-
-    def _elect_primary(self, tenant):
-        """Deterministic primary election with failover accounting
-        (mirrors :meth:`repro.service.pool.TenantPool.elect_primary`,
-        including the all-replicas-unhealthy ``None``)."""
-        for slot in self.replicas:
-            if slot.tenant != tenant:
-                continue
-            if self._healthy(slot):
-                if slot.index != self.last_primary[tenant]:
-                    self.failovers[tenant] += 1
-                    self.last_primary[tenant] = slot.index
-                return slot
-        return None
 
     def _pool_addrs(self, runtime):
         heap = runtime.regions["heap"].start
@@ -227,27 +207,25 @@ class PoolWorld:
         """The lowest replica with a forgeable sealed pool blob: a
         suspended replica's suspend set, or a swapped-out pool page.
         Pure — used by both enabling and dispatch."""
-        for slot in self.replicas:
-            if self.departed[slot.tenant]:
-                continue
-            runtime = self._live_runtime(slot)
+        for tenant, handle in self.handles():
+            runtime = self._live_runtime(handle)
             if runtime is None:
                 continue
-            record = self._member(slot)
+            record = self._member(handle)
             if record.state != RUNNING:
                 continue
             pool = set(self._pool_addrs(runtime))
-            if slot.suspended:
-                if slot.tampered:
+            if handle.suspended:
+                if handle.member_name in self.forged:
                     continue
                 state = self.kernel.driver.state(runtime.enclave)
                 in_pool = sorted(pool & set(state.suspend_set))
                 # Prefer a workload page; fall back to any suspend-set
                 # blob (runtime/TCS) — resume must verify them all.
                 if in_pool:
-                    return slot, in_pool[0]
+                    return tenant, handle, in_pool[0]
                 if state.suspend_set:
-                    return slot, min(state.suspend_set)
+                    return tenant, handle, min(state.suspend_set)
                 continue
             eid = runtime.enclave.enclave_id
             swapped = set(self.kernel.backing.swapped_pages(eid))
@@ -256,7 +234,7 @@ class PoolWorld:
                 if not self.kernel.driver.resident(runtime.enclave, v)
             )
             if candidates:
-                return slot, candidates[0]
+                return tenant, handle, candidates[0]
         return None
 
     def state_key(self):
@@ -264,24 +242,25 @@ class PoolWorld:
         tenants = tuple(
             (self.departed[t], self.issued[t], self.served[t],
              self.shed[t], self.aborts[t], self.recoveries[t],
-             self.quarantines[t], self.failovers[t],
-             self.last_primary[t], self.ops[t])
-            for t in range(N_TENANTS)
+             self.quarantines[t], pool.failovers,
+             pool.last_primary, self.ops[t])
+            for t, pool in enumerate(self.pools)
         )
         replicas = []
-        for slot in self.replicas:
-            record = self._member(slot)
+        for _, handle in self.handles():
+            name = handle.member_name
+            record = self._member(handle)
             if record is None:
-                replicas.append((slot.name, "gone"))
+                replicas.append((name, "gone"))
                 continue
-            runtime = self._live_runtime(slot)
+            runtime = self._live_runtime(handle)
             body = (canonical_state(runtime)
                     if runtime is not None else ("dead",))
             replicas.append((
-                slot.name, record.state, slot.suspended,
-                slot.tampered, record.restarts, body,
+                name, record.state, handle.suspended,
+                name in self.forged, record.restarts, body,
             ))
-        raw = repr((
+        return canonical_digest((
             tenants,
             tuple(replicas),
             self.kernel.epc.free_pages,
@@ -290,8 +269,7 @@ class PoolWorld:
             self.departures,
             self.arrival_refusals,
             tuple(self.violations),
-        )).encode()
-        return hashlib.sha256(raw).hexdigest()
+        ))
 
 
 # -- the action alphabet -----------------------------------------------------
@@ -308,12 +286,12 @@ def enabled_actions(world):
         # check (the unguarded-failover case).
         if not world.departed[t]:
             actions.append(f"req:{t}")
-    if world._peek_primary(0) is not None:
+    if world.pools[0].healthy_count():
         actions.append("storm")
-    if any(world._healthy(slot) for slot in world.replicas):
+    if any(pool.healthy_count() for pool in world.pools):
         actions.append("suspend")
-    if any(slot.suspended and world._live_runtime(slot) is not None
-           for slot in world.replicas):
+    if any(handle.suspended and world._live_runtime(handle) is not None
+           for _, handle in world.handles()):
         actions.append("resume")
     if world._tamper_target() is not None:
         actions.append("tamper")
@@ -368,51 +346,54 @@ def _request(world, tenant):
     """One request: elect a primary, touch two pool pages, fail over
     on abort.  No healthy replica → structured shed, never a crash."""
     world.issued[tenant] += 1
-    slot = world._elect_primary(tenant)
-    if slot is None:
+    handle = world.pools[tenant].elect_primary()
+    if handle is None:
         world.shed[tenant] += 1
         return
-    runtime = world._live_runtime(slot)
+    if handle.suspended:
+        world.violations.append(
+            f"request ran on suspended replica {handle.member_name}")
+    runtime = world._live_runtime(handle)
     pool = world._pool_addrs(runtime)
     k = world.ops[tenant]
-    engine = world.engines[slot.name]
+    engine = world.engines[handle.member_name]
     try:
         engine.data_access(pool[k % POOL_PAGES])
         engine.data_access(pool[(k + 1) % POOL_PAGES], write=True)
     except (EnclaveTerminated, IntegrityError) as exc:
         world.aborts[tenant] += 1
         world.shed[tenant] += 1
-        _recover_replica(world, slot, exc)
+        _recover_replica(world, tenant, handle, exc)
         return
     world.ops[tenant] += 2
     world.served[tenant] += 1
 
 
-def _recover_replica(world, slot, cause):
+def _recover_replica(world, tenant, handle, cause):
     """The service's abort pipeline: mark down, bounded restart,
     quarantine on exhausted budget.  The pool carries the tenant
     either way — a quarantined replica just stays unhealthy."""
-    tenant = slot.tenant
-    world.recovery.mark_down(slot.name, cause)
+    name = handle.member_name
+    world.recovery.mark_down(name, cause)
     try:
-        world.recovery.recover(slot.name)
+        world.recovery.recover(name)
     except (Quarantined, IntegrityAbort):
         world.quarantines[tenant] += 1
         return
     world.recoveries[tenant] += 1
-    record = world.recovery.member(slot.name)
-    world.engines[slot.name] = record.program.engine(record.runtime)
-    slot.suspended = False
-    slot.tampered = False
+    record = world.recovery.member(name)
+    world.engines[name] = record.program.engine(record.runtime)
+    handle.suspended = False
+    world.forged.discard(name)
 
 
 def _storm(world):
     """A train of asynchronous exits against tenant 0's primary — the
     §3.2 interrupt channel.  Costs cycles, never correctness."""
-    slot = world._elect_primary(0)
-    if slot is None:
+    handle = world.pools[0].elect_primary()
+    if handle is None:
         return
-    runtime = world._live_runtime(slot)
+    runtime = world._live_runtime(handle)
     cpu, tcs = world.kernel.cpu, runtime.tcs
     for _ in range(STORM_ROUNDS):
         cpu.interrupt(runtime.enclave, tcs)
@@ -423,11 +404,11 @@ def _storm(world):
 def _suspend(world):
     """Suspend the lowest healthy replica (§5.2.1 whole-enclave swap):
     its pool must route around it until resume."""
-    for slot in world.replicas:
-        if world._healthy(slot):
-            runtime = world._live_runtime(slot)
+    for tenant, handle in world.handles():
+        if world.pools[tenant].healthy(handle):
+            runtime = world._live_runtime(handle)
             world.kernel.driver.suspend_enclave(runtime.enclave)
-            slot.suspended = True
+            handle.suspended = True
             return
 
 
@@ -436,20 +417,20 @@ def _resume(world):
     was suspended must fail ELDU verification — that abort is
     structured (the replica recovers or is quarantined); resuming
     *onto* the forged state is the violation."""
-    for slot in world.replicas:
-        if not slot.suspended or world._live_runtime(slot) is None:
+    for tenant, handle in world.handles():
+        runtime = world._live_runtime(handle)
+        if not handle.suspended or runtime is None:
             continue
-        runtime = world._live_runtime(slot)
-        tampered = slot.tampered
-        slot.tampered = False
+        tampered = handle.member_name in world.forged
+        world.forged.discard(handle.member_name)
         try:
             world.kernel.driver.resume_enclave(runtime.enclave)
         except (IntegrityError, EnclaveTerminated) as exc:
-            slot.suspended = False
-            world.aborts[slot.tenant] += 1
-            _recover_replica(world, slot, exc)
+            handle.suspended = False
+            world.aborts[tenant] += 1
+            _recover_replica(world, tenant, handle, exc)
             return
-        slot.suspended = False
+        handle.suspended = False
         if tampered:
             world.violations.append(
                 "resume restored a forged suspend-set blob without "
@@ -462,26 +443,21 @@ def _tamper(world):
     replica the next touch consumes it (immediate, like the model's
     ``tamper``); against a suspended replica the forgery is silent and
     ``resume`` is the consumption point."""
-    import dataclasses
-
     found = world._tamper_target()
     if found is None:
         return
-    slot, target = found
-    runtime = world._live_runtime(slot)
-    eid = runtime.enclave.enclave_id
-    backing = world.kernel.backing
-    blob = backing.get(eid, target)
-    backing.substitute(
-        eid, target, dataclasses.replace(blob, mac="forged-by-model"))
-    if slot.suspended:
-        slot.tampered = True
+    tenant, handle, target = found
+    runtime = world._live_runtime(handle)
+    world.kernel.backing.forge(
+        runtime.enclave.enclave_id, target, "forged-by-model")
+    if handle.suspended:
+        world.forged.add(handle.member_name)
         return
     try:
-        world.engines[slot.name].data_access(target)
+        world.engines[handle.member_name].data_access(target)
     except (EnclaveTerminated, IntegrityError) as exc:
-        world.aborts[slot.tenant] += 1
-        _recover_replica(world, slot, exc)
+        world.aborts[tenant] += 1
+        _recover_replica(world, tenant, handle, exc)
         return
     world.violations.append(
         f"enclave resumed on tampered page {target:#x} without "
@@ -494,19 +470,17 @@ def _retire(world):
     anyone else's do."""
     held = 0
     before = world.kernel.epc.free_pages
-    for slot in world.replicas:
-        if slot.tenant != 1:
-            continue
-        record = world._member(slot)
+    for handle in world.pools[1].replicas:
+        record = world._member(handle)
         if record is None:
             continue
-        runtime = world._live_runtime(slot)
+        runtime = world._live_runtime(handle)
         if runtime is not None:
             held += len(runtime.enclave.backed)
-        world.recovery.teardown(slot.name)
-        world.engines.pop(slot.name, None)
-        slot.suspended = False
-        slot.tampered = False
+        world.recovery.teardown(handle.member_name)
+        world.engines.pop(handle.member_name, None)
+        handle.suspended = False
+        world.forged.discard(handle.member_name)
     freed = world.kernel.epc.free_pages - before
     if freed != held:
         world.violations.append(
@@ -520,23 +494,23 @@ def _arrive(world):
     """Live churn, arrival half: re-admit tenant 1 with a fresh pool.
     A boot failure under EPC pressure is a structured refusal — the
     partial pool is reclaimed and the tenant stays departed."""
+    pool = world.pools[1]
     booted = []
     try:
-        for slot in world.replicas:
-            if slot.tenant != 1:
-                continue
-            slot.suspended = False
-            slot.tampered = False
-            world._boot_replica(slot)
-            booted.append(slot)
+        for handle in pool.replicas:
+            # _retire cleared each handle's suspended/forged state.
+            world._boot_replica(1, handle)
+            booted.append(handle.member_name)
     except (SgxError, EnclaveTerminated, EnclaveCrashed):
-        for slot in booted:
-            world.recovery.teardown(slot.name)
-            world.engines.pop(slot.name, None)
+        for name in booted:
+            world.recovery.teardown(name)
+            world.engines.pop(name, None)
         world.arrival_refusals += 1
         return
     world.departed[1] = False
-    world.last_primary[1] = 0
+    # The re-admitted pool keeps its lifetime failover count; only
+    # the primary resets, as it would for a freshly booted pool.
+    pool.last_primary = 0
     world.arrivals += 1
 
 
@@ -553,63 +527,34 @@ def _accounting_balance(world):
     return out
 
 
-def _epc_parity(world):
-    epc = world.kernel.epc
-    backed = sum(
-        len(enclave.backed)
-        for enclave in world.kernel.instr.enclaves.values())
-    if epc.free_pages + backed != epc.total_pages:
-        return [
-            f"EPC parity broken: {epc.free_pages} free + {backed} "
-            f"backed != {epc.total_pages} total"
-        ]
-    return []
-
-
-def _masked_faults(world):
-    for fault in world.kernel.fault_log:
-        if (fault.vaddr not in world.bases or fault.write
-                or fault.exec_ or fault.present):
-            return [
-                f"unmasked fault leaked to the OS: {fault.vaddr:#x} "
-                f"(write={fault.write}, present={fault.present})"
-            ]
-    return []
-
-
 def _suspension_consistency(world):
     out = []
-    for slot in world.replicas:
-        runtime = world._live_runtime(slot)
+    for _, handle in world.handles():
+        runtime = world._live_runtime(handle)
         if runtime is None:
             continue
-        record = world._member(slot)
+        record = world._member(handle)
         if record.state != RUNNING:
             # A quarantined corpse may die mid-resume; it is out of
             # the election and its driver flag no longer matters.
             continue
         state = world.kernel.driver.state(runtime.enclave)
-        if state.suspended != slot.suspended:
+        if state.suspended != handle.suspended:
             out.append(
-                f"replica {slot.name} suspension state diverged: "
-                f"driver={state.suspended} pool={slot.suspended}")
+                f"replica {handle.member_name} suspension state "
+                f"diverged: driver={state.suspended} "
+                f"pool={handle.suspended}")
     return out
-
-
-INVARIANTS = (
-    _accounting_balance,
-    _epc_parity,
-    _masked_faults,
-    _suspension_consistency,
-)
 
 
 def check_world(world):
     """All invariant violations of one pool world (empty when safe)."""
-    out = []
-    for invariant in INVARIANTS:
-        out.extend(invariant(world))
-    return out
+    return (
+        _accounting_balance(world)
+        + epc_parity(world.kernel)
+        + masked_faults(world.kernel, world.bases)
+        + _suspension_consistency(world)
+    )
 
 
 # -- explorer entry points ---------------------------------------------------

@@ -30,8 +30,7 @@ What is deliberately excluded:
 
 from __future__ import annotations
 
-import hashlib
-
+from repro.core.digest import canonical_digest
 from repro.oram.policy import OramPolicy
 from repro.runtime.policies import (
     ClusterPolicy,
@@ -96,5 +95,4 @@ def canonical_state(runtime):
 
 def fingerprint(runtime):
     """sha256 fingerprint of :func:`canonical_state` (hex)."""
-    encoded = repr(canonical_state(runtime)).encode()
-    return hashlib.sha256(encoded).hexdigest()
+    return canonical_digest(canonical_state(runtime))

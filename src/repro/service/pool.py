@@ -48,16 +48,18 @@ class ReplicaHandle:
 
 
 class TenantPool:
-    """The replica set of one tenant, with deterministic election."""
+    """The replica set of one tenant, with deterministic election.
 
-    def __init__(self, tenant, recovery):
-        self.tenant = tenant
+    ``member_names`` are the replicas' recovery-supervisor names in
+    election order.  The service router and the model checker's pool
+    world both elect through this class."""
+
+    def __init__(self, name, member_names, recovery):
+        self.name = name
         self.recovery = recovery
         self.replicas = [
-            ReplicaHandle(
-                tenant.spec.name, r, tenant.replica_name(r)
-            )
-            for r in range(tenant.spec.replicas)
+            ReplicaHandle(name, r, member)
+            for r, member in enumerate(member_names)
         ]
         #: Index of the last elected primary; a change is a failover.
         self.last_primary = 0
@@ -99,7 +101,7 @@ class TenantPool:
 
     def canonical(self):
         return (
-            self.tenant.spec.name,
+            self.name,
             self.last_primary,
             self.failovers,
             tuple(h.canonical() for h in self.replicas),

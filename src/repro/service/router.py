@@ -46,12 +46,13 @@ bit-identical under :mod:`repro.parallel`.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.clock import Category
+from repro.core.digest import canonical_digest
+from repro.core.invariants import masked_faults
 from repro.errors import (
     ChaosAbort,
     EnclaveCrashed,
@@ -213,7 +214,11 @@ class EnclaveService:
 
     def _boot_pool(self, tenant):
         """Boot every replica of one tenant and register the pool."""
-        pool = TenantPool(tenant, self.recovery)
+        pool = TenantPool(
+            tenant.spec.name,
+            [tenant.replica_name(r) for r in range(tenant.spec.replicas)],
+            self.recovery,
+        )
         for handle in pool.replicas:
             name = handle.member_name
             program = tenant.program(self.config.epc_pages, handle.index)
@@ -487,11 +492,7 @@ class EnclaveService:
             )
             return
         target = swapped[0]
-        blob = backing.get(eid, target)
-        backing.substitute(
-            eid, target,
-            dataclasses.replace(blob, mac="forged-by-chaos"),
-        )
+        backing.forge(eid, target, "forged-by-chaos")
         tenant.pending_probe = (handle.index, target)
 
     def _aex_storm(self, tenant, event):
@@ -908,13 +909,7 @@ class EnclaveService:
             for tenant in self.tenants
             for r in range(tenant.spec.replicas)
         }
-        for fault in self.kernel.fault_log:
-            if (fault.vaddr not in bases or fault.write or fault.exec_
-                    or fault.present):
-                self.violations.append(
-                    f"unmasked fault leaked to the OS: {fault.vaddr:#x}"
-                )
-                break
+        self.violations += masked_faults(self.kernel, bases)
 
     def _pool_canonicals(self):
         pools = list(self._retired_pools) + [
@@ -930,7 +925,7 @@ class EnclaveService:
         ) + sum(
             p.failovers for p in self._tenant_pools.values()
         )
-        fingerprint = repr((
+        fingerprint = (
             self.config.seed,
             self.config.ticks,
             self.plan.canonical(),
@@ -942,7 +937,7 @@ class EnclaveService:
             self.tier,
             tuple(self.skipped_events),
             tuple(self.violations),
-        )).encode()
+        )
         return ServiceResult(
             seed=self.config.seed,
             ticks=self.config.ticks,
@@ -963,7 +958,7 @@ class EnclaveService:
             failovers=self.metrics.failovers,
             cycles=self.kernel.clock.cycles,
             violations=tuple(self.violations),
-            digest=hashlib.sha256(fingerprint).hexdigest()[:16],
+            digest=canonical_digest(fingerprint)[:16],
         )
 
 

@@ -8,11 +8,9 @@ split:
 * **plan** — :class:`PageRun` packs a page trace (a sequence of page
   base addresses) into immutable columns of integers: the addresses
   and their virtual page numbers, stored as packed ``array('q')``
-  columns (or NumPy ``int64`` arrays when NumPy is importable; the
-  pure-Python ``array`` fallback is bit-compatible because nothing
-  observable depends on the container type).  Plans are built once —
-  by the app trace caches, the runtime's ``touch_run`` memo, or any
-  caller with a repeating trace — and replayed many times.
+  columns.  Plans are built once — by the app trace caches, the
+  runtime's ``touch_run`` memo, or any caller with a repeating trace —
+  and replayed many times.
 
 * **compile** — :meth:`ColumnarEngine.execute` resolves a plan against
   the *residency/permission table*: the live TLB entry map, which is
@@ -53,11 +51,6 @@ from array import array
 
 from repro.sgx.params import PAGE_SHIFT, AccessType
 
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 # -- fast-path tiers -------------------------------------------------------
 
@@ -92,27 +85,15 @@ def normalize_tier(value):
 
 # -- packing backend -------------------------------------------------------
 
-if _np is not None:  # pragma: no cover - numpy branch
+def pack_column(values):
+    """Pack a sequence of ints into an immutable-by-convention int64
+    column."""
+    return array("q", values)
 
-    def pack_column(values):
-        """Pack a sequence of ints into an immutable-by-convention
-        int64 column (NumPy when available, ``array('q')`` otherwise)."""
-        return _np.asarray(values, dtype=_np.int64)
 
-    def column_list(column):
-        """The column as a plain list of Python ints."""
-        return [int(v) for v in column]
-
-else:
-
-    def pack_column(values):
-        """Pack a sequence of ints into an immutable-by-convention
-        int64 column (NumPy when available, ``array('q')`` otherwise)."""
-        return array("q", values)
-
-    def column_list(column):
-        """The column as a plain list of Python ints."""
-        return column.tolist()
+def column_list(column):
+    """The column as a plain list of Python ints."""
+    return column.tolist()
 
 
 # -- the plan --------------------------------------------------------------

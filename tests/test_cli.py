@@ -27,6 +27,16 @@ def test_unknown_experiment_exits():
         main(["warpdrive"])
 
 
+@pytest.mark.parametrize(
+    "command", ["analyze", "chaos", "modelcheck", "recover", "serve", "bench"]
+)
+@pytest.mark.parametrize("flag, code", [("--help", 0), ("--no-such-flag", 2)])
+def test_subcommand_help_and_bad_flag(command, flag, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag])
+    assert exc.value.code == code
+
+
 def test_runs_one_experiment(capsys):
     assert main(["leakage", "-q"]) == 0
     out = capsys.readouterr().out

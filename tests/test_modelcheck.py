@@ -16,6 +16,8 @@ from repro.chaos.campaign import run_plan
 from repro.chaos.plan import FaultPlan
 from repro.errors import SgxError
 from repro.modelcheck import poolworld
+from repro.recovery.supervisor import RUNNING
+from repro.service.pool import TenantPool
 from repro.modelcheck.explorer import explore
 from repro.modelcheck.export import (
     export_witnesses,
@@ -303,9 +305,9 @@ class TestPoolWorld:
         assert poolworld.check_world(world) == []
         assert world.recoveries[0] == 1
         assert world.quarantines[0] == 1
-        assert world.failovers[0] == 1
+        assert world.pools[0].failovers == 1
         assert world.served[0] == 1
-        assert world.last_primary[0] == 1
+        assert world.pools[0].last_primary == 1
 
     def test_pool_down_request_sheds_structurally(self):
         # Suspend both of tenant 0's replicas: a request must shed,
@@ -338,6 +340,24 @@ class TestPoolWorld:
     def test_unknown_world_is_rejected(self):
         with pytest.raises(SgxError):
             poolworld.boot("nonsense")
+
+    def test_seeded_pool_bug_is_found(self, monkeypatch):
+        # The pool world elects through the shipped TenantPool, so a
+        # health check that forgets suspension must surface as a
+        # request running on a suspended replica.
+        def healthy_ignoring_suspension(pool, handle):
+            try:
+                record = pool.recovery.member(handle.member_name)
+            except KeyError:
+                return False
+            return record.state == RUNNING
+
+        monkeypatch.setattr(
+            TenantPool, "healthy", healthy_ignoring_suspension)
+        result = explore("pool", depth=3, max_states=400, jobs=1)
+        assert not result.ok
+        shortest = min((trace for trace, _ in result.violations), key=len)
+        assert shortest == ("suspend", "req:0")
 
 
 # -- the CLI -----------------------------------------------------------------

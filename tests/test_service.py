@@ -333,10 +333,9 @@ class TestTenantPool:
         tenant = Tenant(
             TenantSpec(name="t", replicas=replicas), 0, service_seed=0
         )
-        recovery = _StubRecovery(
-            [tenant.replica_name(r) for r in range(replicas)]
-        )
-        return TenantPool(tenant, recovery), recovery
+        names = [tenant.replica_name(r) for r in range(replicas)]
+        recovery = _StubRecovery(names)
+        return TenantPool("t", names, recovery), recovery
 
     def test_lowest_healthy_replica_wins(self):
         pool, _ = self._pool()
