@@ -74,9 +74,10 @@ class AnalysisConfig:
     #: ``anything.epc.resize(...)`` outside the sanctioned modules is a
     #: violation; reads (``epc.free_pages``, ``epcm.entry(p)``) are not.
     mutating_methods: dict = _default({
-        "epc": frozenset({"alloc", "free", "resize"}),
+        "epc": frozenset({"alloc", "alloc_frames", "free", "free_frames",
+                          "resize"}),
         "epcm": frozenset(),      # mutations happen via entry-attr stores
-        "tlb": frozenset({"install", "flush", "flush_page"}),
+        "tlb": frozenset({"install", "flush", "flush_page", "flush_pages"}),
     })
     #: Components whose attribute stores count as mutations
     #: (``x.epcm.entry(p).pending = True``; ``kernel.instr.tlb = ...``).
@@ -147,6 +148,10 @@ class AnalysisConfig:
         "raise_pf",          # test convenience constructor
         "note_fault",        # statistics update inside the handler
         "make_paging_ops",   # constructor dispatch, not a modeled path
+        # The bulk EBLOCK: like ``eblock`` (annotated at its def), its
+        # cost is folded into the EWB figure, so charging would count
+        # it twice.
+        "eblock_pages",
     }))
     #: A call through one of these receiver names is assumed to charge
     #: when the call graph cannot resolve the callee at all.  The list

@@ -13,7 +13,9 @@ enclave/page expression they name, and run three small automata:
   EADD family.
 * **evict** — EBLOCK → page-table drop (the TLB shootdown) → EWB.
   Flags EBLOCK after the drop, either of them after EWB.  ELDU resets
-  the key (evict/reload cycles are fine).
+  the key (evict/reload cycles are fine).  The bulk forms
+  (``eblock_pages``, ``drop_pages``, ``ewb_pages``, ``eldu_pages``) are
+  the same ops keyed by their batch argument.
 * **resume** — AEX → ERESUME.  Only *observed* inversions are flagged:
   an ERESUME with no comparable AEX before it but one after it.  A
   function that resumes an enclave suspended elsewhere is not ours to
@@ -72,6 +74,18 @@ ISA_OPS = {
     "eblock": (0, 1),
     "ewb": (0, 1),
     "eldu": (0, 1),
+}
+
+#: Bulk forms of the paging ops -> the op each one performs over its
+#: batch.  Positions are the single form's, so the page key is the batch
+#: argument: ``eblock_pages(enclave, bases)``, then
+#: ``page_table.drop_pages(bases)``, then ``ewb_pages(enclave, bases)``
+#: is EBLOCK → drop → EWB on the key ``bases``.
+BULK_OPS = {
+    "eblock_pages": "eblock",
+    "ewb_pages": "ewb",
+    "eldu_pages": "eldu",
+    "drop_pages": "drop",
 }
 
 #: ``drop`` is a page-table method name, not ISA; only treat it as the
@@ -224,7 +238,7 @@ class OpCollector:
         chain = attr_chain(call.func)
         if not chain:
             return
-        name = chain[-1]
+        name = BULK_OPS.get(chain[-1], chain[-1])
         if name in ISA_OPS:
             encl_pos, page_pos = ISA_OPS[name]
             encl = page = None

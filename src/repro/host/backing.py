@@ -41,25 +41,34 @@ class BackingStore:
         :meth:`substitute`/:meth:`replay`, which bypass this check —
         the *crypto* layer is what defeats those.
         """
-        key = (enclave_id, vaddr)
-        old = self._pages.get(key)
-        if old is not None:
-            old_v = getattr(old, "version", None)
-            new_v = getattr(sealed, "version", None)
-            if (key not in self.tainted
-                    and old_v is not None and new_v is not None
-                    and new_v <= old_v):
-                # A tainted entry is exempt: its version field is
-                # attacker-chosen garbage, and rewriting the true blob
-                # over it is a restore, not a regression.
-                raise SgxError(
-                    f"backing-store version regression for {vaddr:#x} "
-                    f"(enclave {enclave_id}): put version {new_v} over "
-                    f"stored version {old_v}"
-                )
-            self._stale[key] = old
-        self._pages[key] = sealed
-        self.tainted.discard(key)
+        self.put_pages(enclave_id, (vaddr,), (sealed,))
+
+    def put_pages(self, enclave_id, vaddrs, blobs):
+        """:meth:`put` each ``(vaddr, sealed)`` pair in order.  Every
+        page keeps its own version check, stale-shelf copy and taint
+        reset; a regression stops the list at that page."""
+        pages = self._pages
+        tainted = self.tainted
+        for vaddr, sealed in zip(vaddrs, blobs):
+            key = (enclave_id, vaddr)
+            old = pages.get(key)
+            if old is not None:
+                old_v = getattr(old, "version", None)
+                new_v = getattr(sealed, "version", None)
+                if (key not in tainted
+                        and old_v is not None and new_v is not None
+                        and new_v <= old_v):
+                    # A tainted entry is exempt: its version field is
+                    # attacker-chosen garbage, and rewriting the true
+                    # blob over it is a restore, not a regression.
+                    raise SgxError(
+                        f"backing-store version regression for "
+                        f"{vaddr:#x} (enclave {enclave_id}): put version "
+                        f"{new_v} over stored version {old_v}"
+                    )
+                self._stale[key] = old
+            pages[key] = sealed
+            tainted.discard(key)
 
     def get(self, enclave_id, vaddr):
         return self._pages.get((enclave_id, vaddr))
@@ -69,13 +78,35 @@ class BackingStore:
 
         The blob also lands on the stale shelf: untrusted memory has no
         delete — an attacker keeps a copy of everything it ever held."""
-        sealed = self._pages.pop((enclave_id, vaddr), None)
-        if sealed is None:
-            raise SgxError(
-                f"no swapped copy of {vaddr:#x} for enclave {enclave_id}"
-            )
-        self._stale[(enclave_id, vaddr)] = sealed
-        return sealed
+        return self.take_pages(enclave_id, (vaddr,))[0]
+
+    def take_pages(self, enclave_id, vaddrs):
+        """:meth:`take` each page in order; a missing blob stops the list
+        at that page."""
+        pages = self._pages
+        stale = self._stale
+        blobs = []
+        for vaddr in vaddrs:
+            key = (enclave_id, vaddr)
+            sealed = pages.pop(key, None)
+            if sealed is None:
+                raise SgxError(
+                    f"no swapped copy of {vaddr:#x} for enclave {enclave_id}"
+                )
+            stale[key] = sealed
+            blobs.append(sealed)
+        return blobs
+
+    def accepts_puts(self, enclave_id, vaddrs):
+        """Whether :meth:`put_pages` would skip every version check: no
+        page has a current blob, or only an attacker-written one."""
+        pages = self._pages
+        tainted = self.tainted
+        for vaddr in vaddrs:
+            key = (enclave_id, vaddr)
+            if key in pages and key not in tainted:
+                return False
+        return True
 
     def has(self, enclave_id, vaddr):
         return (enclave_id, vaddr) in self._pages

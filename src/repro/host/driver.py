@@ -15,6 +15,14 @@ Implements the paper's two-level page-management contract (§5.2.1):
 The Autarky system calls (implemented as IOCTLs in the real prototype)
 are :meth:`ay_set_os_managed`, :meth:`ay_set_enclave_managed`,
 :meth:`ay_fetch_pages` and :meth:`ay_evict_pages`.
+
+Each paging IOCTL, and each whole-enclave suspend or resume, settles as
+one *pager transaction*: the driver first checks, with no side effect,
+that every step would succeed for every page of the batch, then commits
+the batch in bulk (one EBLOCK/drop/EWB or ELDU/map step over the page
+list).  A batch that fails the check, or needs driver-side eviction to
+fit the quota, is replayed as one-page transactions through the same
+code, which fail exactly where the page-by-page protocol does.
 """
 
 from __future__ import annotations
@@ -23,9 +31,22 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.clock import Category
-from repro.errors import EpcExhausted, SgxError
+from repro.errors import EpcExhausted, IntegrityError, SgxError
 from repro.sgx.epcm import Permissions
-from repro.sgx.params import PAGE_SIZE, page_base, vpn_of
+from repro.sgx.params import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    page_base,
+    vpn_of,
+)
+
+
+#: EPCM permissions by ``(writable, executable)``: readable always.
+_REGION_PERMS = {
+    (write, execute): Permissions(True, write, execute)
+    for write in (False, True) for execute in (False, True)
+}
 
 
 @dataclass
@@ -37,9 +58,10 @@ class Region:
     writable: bool = True
     executable: bool = False
 
-    def contains_vpn(self, vpn):
-        first = vpn_of(self.start)
-        return first <= vpn < first + self.npages
+    @property
+    def perms(self):
+        """The EPCM permissions of the region's pages."""
+        return _REGION_PERMS[self.writable, self.executable]
 
 
 @dataclass
@@ -60,8 +82,10 @@ class EnclaveHostState:
     suspend_set: list = field(default_factory=list)
 
     def region_for(self, vpn):
+        """The first declared region holding ``vpn``, or ``None``."""
         for region in self.regions:
-            if region.contains_vpn(vpn):
+            first = region.start >> PAGE_SHIFT
+            if first <= vpn < first + region.npages:
                 return region
         return None
 
@@ -140,8 +164,7 @@ class SgxDriver:
 
         self.make_room(enclave, 1)
         base = page_base(vaddr)
-        self._load_frame(enclave, base, region)
-        self.map_page(enclave, base, region)
+        self._load(enclave, [base], [region])
         if vpn not in state.enclave_managed:
             state.fifo_add(vpn)
         self.pages_in += 1
@@ -151,21 +174,11 @@ class SgxDriver:
     def evict_page(self, enclave, vaddr):
         """Evict one OS-managed page (unmap, shoot down, EWB, store)."""
         state = self.state(enclave)
-        vpn = vpn_of(vaddr)
-        if vpn in state.enclave_managed and not state.suspended:
+        if vpn_of(vaddr) in state.enclave_managed and not state.suspended:
             raise SgxError(
                 f"driver may not evict enclave-managed page {vaddr:#x}"
             )
-        base = page_base(vaddr)
-        # The architectural eviction sequence: EBLOCK (no new TLB
-        # fills), unmap + shootdown (ETRACK/IPIs), then EWB.
-        self.instr.eblock(enclave, base)
-        self.page_table.drop(base)
-        sealed = self.instr.ewb(enclave, base)
-        self.backing.put(enclave.enclave_id, base, sealed)
-        state.fifo_discard(vpn)
-        self.pages_out += 1
-        self.clock.charge(self.cost.pte_update, Category.OS)
+        self._evict_os(enclave, state, [page_base(vaddr)])
 
     def os_resolve(self, enclave, vaddr):
         """Resolve a fault the OS is responsible for: remap a resident
@@ -250,39 +263,128 @@ class SgxDriver:
         return None
 
     def map_page(self, enclave, vaddr, region):
-        """Install the PTE.  For self-paging enclaves both A and D are
-        pre-set, otherwise the Autarky fill check would refuse the
-        mapping the driver itself just created."""
+        """Install the PTE of one resident page of ``region`` (see
+        :meth:`_map`)."""
+        if region is None:
+            raise SgxError(f"access outside any declared region: {vaddr:#x}")
+        self._map(enclave, [vaddr], [region])
+
+    # -- the pager transaction's steps ---------------------------------------
+
+    def _evict_os(self, enclave, state, bases):
+        """Evict OS-side: :meth:`_evict`, then drop the pages from the
+        FIFO and charge the PTE updates."""
+        if not bases:
+            return
+        self._evict(enclave, bases)
+        for base in bases:
+            state.fifo_discard(base >> PAGE_SHIFT)
+        self.clock.charge(self.cost.pte_update * len(bases), Category.OS)
+
+    def _evict(self, enclave, bases):
+        """The architectural eviction sequence over a page list: EBLOCK
+        every page (no new TLB fills), unmap them with one shootdown
+        (ETRACK/IPIs), then EWB them and store the blobs."""
+        if not bases:
+            return
+        self.instr.eblock_pages(enclave, bases)
+        self.page_table.drop_pages(bases)
+        sealed = self.instr.ewb_pages(enclave, bases)
+        self.backing.put_pages(enclave.enclave_id, bases, sealed)
+        self.pages_out += len(bases)
+
+    def _can_write_back(self, enclave, bases):
+        """Whether :meth:`_evict` would commit every page of the list,
+        checked with no side effect: each page is backed and not
+        blocked, and stores no current blob a put must version-check.
+        (The kernel registers the TLB that EWB checks as a shootdown
+        target, so the drop always clears it.)"""
+        backed = enclave.backed
+        entry = self.instr.epcm.entry
+        for base in bases:
+            pfn = backed.get(base >> PAGE_SHIFT)
+            if pfn is None or entry(pfn).blocked:
+                return False
+        return self.backing.accepts_puts(enclave.enclave_id, bases)
+
+    def _load(self, enclave, bases, regions):
+        """Bring pages into fresh EPC frames and map them.
+
+        Swapped pages are reloaded with ELDU.  A never-swapped page is a
+        zero-fill allocation: EAUG pages start RW, and executable
+        regions are extended with the enclave's EMODPE after acceptance
+        (zero-fill lazy code loading, as a JIT or loader would do).  It
+        always travels alone, because a fetch batch holding one fails
+        validation and is replayed page by page."""
+        if self.backing.has(enclave.enclave_id, bases[0]):
+            self._reload(enclave, bases, regions)
+            return
+        (base,), (region,) = bases, regions
+        self.instr.eaug(enclave, base)
+        self.instr.eaccept(enclave, base)
+        if region.executable:
+            # EMODPE can only extend, so the page becomes RWX; a
+            # hardening pass could EMODPR the W bit away afterwards.
+            self.instr.emodpe(enclave, base, Permissions.RWX)
+        self._map(enclave, bases, regions)
+
+    def _reload(self, enclave, bases, regions):
+        """Take the pages' blobs, ELDU them and map them.  Pages outside
+        every declared region (TCS metadata) reload as RW with no user
+        mapping."""
+        sealed = self.backing.take_pages(enclave.enclave_id, bases)
+        self.instr.eldu_pages(enclave, bases, sealed, [
+            Permissions.RW if region is None else region.perms
+            for region in regions
+        ])
+        self._map(enclave, bases, regions)
+
+    def _can_load(self, enclave, bases):
+        """Whether :meth:`_reload` would commit every page of the list,
+        checked with no side effect: enough EPC frames are free, and
+        each page lies in the enclave, is not backed, and has a stored
+        blob that verifies."""
+        if len(bases) > self.instr.epc.free_pages:
+            return False
+        backed = enclave.backed
+        low, high = enclave.base, enclave.limit
+        stored = self.backing.get
+        enclave_id = enclave.enclave_id
+        blobs = []
+        for base in bases:
+            sealed = stored(enclave_id, base)
+            if sealed is None or base >> PAGE_SHIFT in backed or \
+                    not low <= base < high:
+                return False
+            blobs.append(sealed)
+        try:
+            self.instr.hw_crypto.verify_pages(enclave_id, bases, blobs)
+        except IntegrityError:
+            return False
+        return True
+
+    def _map(self, enclave, bases, regions):
+        """Install the PTEs of resident pages in order, one page-table
+        call per run of pages sharing a region.  For self-paging
+        enclaves both A and D are pre-set, otherwise the Autarky fill
+        check would refuse the mapping the driver itself just created.
+        Pages outside every region get no mapping."""
         pre_set = enclave.self_paging
-        self.page_table.map(
-            vaddr,
-            enclave.backed[vpn_of(vaddr)],
-            writable=region.writable,
-            executable=region.executable,
-            accessed=pre_set,
-            dirty=pre_set,
-        )
-
-    def _load_frame(self, enclave, base, region):
-        """Bring page contents into a fresh EPC frame.
-
-        EAUG pages start RW; executable regions are extended with the
-        enclave's EMODPE after acceptance (zero-fill lazy code loading,
-        as a JIT or loader would do)."""
-        if self.backing.has(enclave.enclave_id, base):
-            sealed = self.backing.take(enclave.enclave_id, base)
-            self.instr.eldu(enclave, base, sealed, self._perms(region))
-        else:
-            self.instr.eaug(enclave, base)
-            self.instr.eaccept(enclave, base)
-            if region.executable:
-                # EMODPE can only extend, so the page becomes RWX; a
-                # hardening pass could EMODPR the W bit away afterwards.
-                self.instr.emodpe(enclave, base, Permissions.RWX)
-
-    @staticmethod
-    def _perms(region):
-        return Permissions(True, region.writable, region.executable)
+        backed = enclave.backed
+        count = len(bases)
+        start = 0
+        while start < count:
+            region = regions[start]
+            end = start + 1
+            while end < count and regions[end] is region:
+                end += 1
+            if region is not None:
+                run = bases[start:end]
+                self.page_table.map_pages(
+                    run, [backed[base >> PAGE_SHIFT] for base in run],
+                    region.writable, region.executable, pre_set, pre_set,
+                )
+            start = end
 
     # -- Autarky IOCTLs (§5.2.1) -------------------------------------------
 
@@ -311,45 +413,94 @@ class SgxDriver:
 
     def ay_fetch_pages(self, enclave, vaddrs):
         """Batched page-in of enclave-managed pages (SGX1 path: the
-        privileged ELDU runs in the driver).  The runtime must have
-        made room first via ay_evict_pages."""
+        privileged ELDU runs in the driver), as one pager transaction.
+        The runtime must have made room first via ay_evict_pages;
+        returns the pages actually loaded."""
         state = self.state(enclave)
+        bases = [vaddr & PAGE_MASK for vaddr in vaddrs]
+        if len(bases) > 1:
+            try:
+                todo, regions = self._pages_to_load(enclave, state, bases)
+            except SgxError:
+                todo = None
+            if todo is not None and \
+                    len(enclave.backed) + len(todo) <= state.quota_pages \
+                    and self._can_load(enclave, todo):
+                return self._fetch(enclave, todo, regions)
+        # A single page, or a batch that failed validation: one-page
+        # transactions (a one-page batch needs no separate validation).
         fetched = []
-        for vaddr in vaddrs:
-            base = page_base(vaddr)
-            vpn = vpn_of(base)
-            if vpn not in state.enclave_managed:
+        for base in bases:
+            fetched += self._fetch(
+                enclave, *self._pages_to_load(enclave, state, [base]))
+        return fetched
+
+    def _pages_to_load(self, enclave, state, bases):
+        """The pages of a fetch batch still to load, with their regions;
+        resident pages and repeats are skipped.  Raises for a page the
+        enclave does not manage or one outside every declared region."""
+        managed = state.enclave_managed
+        backed = enclave.backed
+        todo, regions = [], []
+        for base in dict.fromkeys(bases):
+            vpn = base >> PAGE_SHIFT
+            if vpn not in managed:
                 raise SgxError(
                     f"ay_fetch_pages on non-enclave-managed {base:#x}"
                 )
-            if vpn in enclave.backed:
+            if vpn in backed:
                 continue
-            self.make_room(enclave, 1)
             region = state.region_for(vpn)
-            self._load_frame(enclave, base, region)
-            self.map_page(enclave, base, region)
-            self.pages_in += 1
-            fetched.append(base)
-        return fetched
+            if region is None:
+                raise SgxError(
+                    f"access outside any declared region: {base:#x}"
+                )
+            todo.append(base)
+            regions.append(region)
+        return todo, regions
+
+    def _fetch(self, enclave, bases, regions):
+        """Commit a fetch: make room (a no-op for a validated batch),
+        then load and map the pages."""
+        if not bases:
+            return []
+        self.make_room(enclave, len(bases))
+        self._load(enclave, bases, regions)
+        self.pages_in += len(bases)
+        return bases
 
     def ay_evict_pages(self, enclave, vaddrs):
         """Batched eviction of enclave-managed pages at the enclave's
-        request (SGX1 path)."""
+        request (SGX1 path), as one pager transaction."""
         state = self.state(enclave)
-        for vaddr in vaddrs:
-            base = page_base(vaddr)
-            vpn = vpn_of(base)
-            if vpn not in state.enclave_managed:
+        bases = [vaddr & PAGE_MASK for vaddr in vaddrs]
+        if len(bases) > 1:
+            try:
+                todo = self._pages_to_write_back(enclave, state, bases)
+            except SgxError:
+                todo = None
+            if todo is not None and self._can_write_back(enclave, todo):
+                self._evict(enclave, todo)
+                return
+        for base in bases:
+            self._evict(enclave,
+                        self._pages_to_write_back(enclave, state, [base]))
+
+    def _pages_to_write_back(self, enclave, state, bases):
+        """The resident pages of an eviction batch, repeats skipped.
+        Raises for a page the enclave does not manage."""
+        managed = state.enclave_managed
+        backed = enclave.backed
+        todo = []
+        for base in dict.fromkeys(bases):
+            vpn = base >> PAGE_SHIFT
+            if vpn not in managed:
                 raise SgxError(
                     f"ay_evict_pages on non-enclave-managed {base:#x}"
                 )
-            if vpn not in enclave.backed:
-                continue
-            self.instr.eblock(enclave, base)
-            self.page_table.drop(base)
-            sealed = self.instr.ewb(enclave, base)
-            self.backing.put(enclave.enclave_id, base, sealed)
-            self.pages_out += 1
+            if vpn in backed:
+                todo.append(base)
+        return todo
 
     # -- SGX2 privileged halves (used by the runtime's SGX2 paging ops) ----
 
@@ -433,37 +584,47 @@ class SgxDriver:
     # -- whole-enclave swap (the OS's only big hammer, §5.2.1) -------------
 
     def suspend_enclave(self, enclave):
-        """Swap out the entire enclave (all pages, pinned or not)."""
+        """Swap out the entire enclave (all pages, pinned or not) as one
+        pager transaction."""
         state = self.state(enclave)
         state.suspended = True
+        bases = [vpn << PAGE_SHIFT for vpn in enclave.backed]
+        if self._can_write_back(enclave, bases):
+            self._evict_os(enclave, state, bases)
+            state.suspend_set = bases
+            return
         state.suspend_set = []
-        for vpn in list(enclave.backed):
-            base = vpn << 12
-            self.evict_page(enclave, base)
+        for base in bases:
+            self._evict_os(enclave, state, [base])
             state.suspend_set.append(base)
 
     def resume_enclave(self, enclave):
         """Restore every page evicted at suspension before the enclave
-        may run again — the contract that makes suspension safe."""
+        may run again — the contract that makes suspension safe.  One
+        pager transaction, like :meth:`suspend_enclave`."""
         state = self.state(enclave)
         if not state.suspended:
             raise SgxError("resume of a non-suspended enclave")
-        for base in state.suspend_set:
-            vpn = vpn_of(base)
-            region = state.region_for(vpn)
-            sealed = self.backing.take(enclave.enclave_id, base)
-            if region is None:
-                # Metadata pages (TCS) live outside declared regions:
-                # reload the frame but install no user mapping.
-                self.instr.eldu(enclave, base, sealed, Permissions.RW)
-            else:
-                self.instr.eldu(enclave, base, sealed,
-                                self._perms(region))
-                self.map_page(enclave, base, region)
-            if vpn not in state.enclave_managed:
-                state.fifo_add(vpn)
-            self.pages_in += 1
-        restored = list(state.suspend_set)
+        bases = state.suspend_set
+        regions = [state.region_for(base >> PAGE_SHIFT) for base in bases]
+        if self._can_load(enclave, bases):
+            self._restore(enclave, state, bases, regions)
+        else:
+            for base, region in zip(bases, regions):
+                self._restore(enclave, state, [base], [region])
+        restored = list(bases)
         state.suspend_set = []
         state.suspended = False
         return restored
+
+    def _restore(self, enclave, state, bases, regions):
+        """Reload suspended pages; OS-managed ones rejoin the FIFO."""
+        if not bases:
+            return
+        self._reload(enclave, bases, regions)
+        managed = state.enclave_managed
+        for base in bases:
+            vpn = base >> PAGE_SHIFT
+            if vpn not in managed:
+                state.fifo_add(vpn)
+        self.pages_in += len(bases)

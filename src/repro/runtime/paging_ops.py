@@ -69,19 +69,21 @@ class PagingOps:
 
 
 class Sgx1PagingOps(PagingOps):
-    """Driver-executed EWB/ELDU paging."""
+    """Driver-executed EWB/ELDU paging.
+
+    The pager hands over page bases it computed once per unit, so they
+    pass through unchanged; the driver normalises them again on its side
+    of the trust boundary and settles each call as one transaction."""
 
     def fetch_batch(self, vaddrs):
         if not vaddrs:
             return []
-        return self._host_call("ay_fetch_pages",
-                               [page_base(v) for v in vaddrs])
+        return self._host_call("ay_fetch_pages", vaddrs)
 
     def evict_batch(self, vaddrs):
         if not vaddrs:
             return
-        self._host_call("ay_evict_pages",
-                        [page_base(v) for v in vaddrs])
+        self._host_call("ay_evict_pages", vaddrs)
 
 
 class Sgx2PagingOps(PagingOps):

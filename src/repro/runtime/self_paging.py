@@ -32,7 +32,7 @@ from repro.errors import (
     PinnedExhaustion,
     PolicyError,
 )
-from repro.sgx.params import EVICTION_BATCH, page_base, vpn_of
+from repro.sgx.params import EVICTION_BATCH, PAGE_SHIFT, page_base, vpn_of
 
 
 class EvictionOrder(enum.Enum):
@@ -151,14 +151,15 @@ class SelfPager:
 
         Returns the list of page bases actually fetched.  The unit is
         recorded so its pages are evicted together later."""
-        missing = [page_base(v) for v in vaddrs
-                   if vpn_of(v) not in self._resident]
-        if not missing:
+        resident = self._resident
+        vpns = tuple(vpn for vpn in map(vpn_of, vaddrs)
+                     if vpn not in resident)
+        if not vpns:
             return []
+        missing = [vpn << PAGE_SHIFT for vpn in vpns]
         self.make_room(len(missing))
         self._fetch_degrading(missing)
-        vpns = tuple(vpn_of(b) for b in missing)
-        self._resident.update(vpns)
+        resident.update(vpns)
         self._claimed.update(vpns)
         if pin:
             self._pinned.update(vpns)
@@ -211,8 +212,7 @@ class SelfPager:
         if not pages:
             return 0
         self.ops.evict_batch(pages)
-        for vaddr in pages:
-            self._resident.discard(vpn_of(vaddr))
+        self._resident.difference_update([v >> PAGE_SHIFT for v in pages])
         self.evictions += len(pages)
         return len(pages)
 

@@ -50,51 +50,82 @@ class PagingCrypto:
         self._outstanding = {}
 
     def seal(self, enclave_id, vaddr, contents):
-        key = (enclave_id, vaddr)
-        version = self._next_version.get(key, 0) + 1
-        self._next_version[key] = version
-        self._outstanding[key] = version
-        nonce = next(self._nonce)
-        mac = self._mac(enclave_id, vaddr, version, nonce, contents)
-        return SealedPage(
-            enclave_id=enclave_id,
-            vaddr=vaddr,
-            version=version,
-            nonce=nonce,
-            ciphertext=contents,
-            mac=mac,
-        )
+        return self.seal_pages(enclave_id, (vaddr,), (contents,))[0]
+
+    def seal_pages(self, enclave_id, vaddrs, contents):
+        """Seal each ``(vaddr, contents)`` pair in order; every page gets
+        its own next version and nonce, exactly as one :meth:`seal` per
+        page would."""
+        next_version = self._next_version
+        outstanding = self._outstanding
+        nonces = self._nonce
+        mac = self._mac
+        sealed = []
+        for vaddr, page in zip(vaddrs, contents):
+            key = (enclave_id, vaddr)
+            version = next_version.get(key, 0) + 1
+            next_version[key] = version
+            outstanding[key] = version
+            nonce = next(nonces)
+            sealed.append(SealedPage(
+                enclave_id, vaddr, version, nonce, page,
+                mac(enclave_id, vaddr, version, nonce, page),
+            ))
+        return sealed
 
     def unseal(self, enclave_id, vaddr, sealed):
         """Verify and decrypt; raises :class:`IntegrityError` on any
         tampering, substitution, or replay."""
-        if sealed.enclave_id != enclave_id:
-            raise IntegrityError(
-                f"page sealed for enclave {sealed.enclave_id}, "
-                f"loaded into {enclave_id}"
-            )
-        if sealed.vaddr != vaddr:
-            raise IntegrityError(
-                f"page sealed for {sealed.vaddr:#x}, loaded at {vaddr:#x}"
-            )
-        expected = self._outstanding.get((enclave_id, vaddr))
-        if expected is None:
-            raise IntegrityError(
-                f"no outstanding sealed copy for {vaddr:#x} (replay?)"
-            )
-        if sealed.version != expected:
-            raise IntegrityError(
-                f"version {sealed.version} != expected {expected} "
-                f"for {vaddr:#x} (replay)"
-            )
-        mac = self._mac(
-            sealed.enclave_id, sealed.vaddr, sealed.version,
-            sealed.nonce, sealed.ciphertext,
-        )
-        if mac != sealed.mac:
-            raise IntegrityError(f"MAC mismatch for {vaddr:#x}")
-        del self._outstanding[(enclave_id, vaddr)]
-        return sealed.ciphertext
+        contents = self.verify(enclave_id, vaddr, sealed)
+        self.consume(enclave_id, (vaddr,))
+        return contents
+
+    def verify(self, enclave_id, vaddr, sealed):
+        """The checks of :meth:`unseal` without its effect (see
+        :meth:`verify_pages`)."""
+        return self.verify_pages(enclave_id, (vaddr,), (sealed,))[0]
+
+    def verify_pages(self, enclave_id, vaddrs, blobs):
+        """Check each ``(vaddr, sealed)`` pair in order and return the
+        contents, or raise :class:`IntegrityError` at the first bad
+        blob.  Nothing changes: the outstanding copies stay in place, so
+        a batch can verify every blob before it consumes any."""
+        outstanding = self._outstanding
+        mac = self._mac
+        contents = []
+        for vaddr, sealed in zip(vaddrs, blobs):
+            if sealed.enclave_id != enclave_id:
+                raise IntegrityError(
+                    f"page sealed for enclave {sealed.enclave_id}, "
+                    f"loaded into {enclave_id}"
+                )
+            if sealed.vaddr != vaddr:
+                raise IntegrityError(
+                    f"page sealed for {sealed.vaddr:#x}, loaded at "
+                    f"{vaddr:#x}"
+                )
+            expected = outstanding.get((enclave_id, vaddr))
+            if expected is None:
+                raise IntegrityError(
+                    f"no outstanding sealed copy for {vaddr:#x} (replay?)"
+                )
+            if sealed.version != expected:
+                raise IntegrityError(
+                    f"version {sealed.version} != expected {expected} "
+                    f"for {vaddr:#x} (replay)"
+                )
+            if mac(sealed.enclave_id, sealed.vaddr, sealed.version,
+                   sealed.nonce, sealed.ciphertext) != sealed.mac:
+                raise IntegrityError(f"MAC mismatch for {vaddr:#x}")
+            contents.append(sealed.ciphertext)
+        return contents
+
+    def consume(self, enclave_id, vaddrs):
+        """Retire the outstanding copy of each verified page: the page is
+        resident again, so no sealed copy of it may load from now on."""
+        outstanding = self._outstanding
+        for vaddr in vaddrs:
+            del outstanding[(enclave_id, vaddr)]
 
     def outstanding_table(self, enclave_id):
         """Sorted ``(vaddr, version)`` tuples of every outstanding sealed

@@ -52,26 +52,45 @@ class EpcAllocator:
 
     def alloc(self):
         """Allocate a frame, raising :class:`EpcExhausted` when full."""
-        if not self._free:
+        return self.alloc_frames(1)[0]
+
+    def alloc_frames(self, count):
+        """Allocate ``count`` frames in free-list order — the frames
+        ``count`` single allocations would return — or none: raises
+        :class:`EpcExhausted` when fewer are free."""
+        free = self._free
+        if count > len(free):
             raise EpcExhausted(
-                f"all {self.total_pages} EPC pages are in use"
+                f"all {self.total_pages} EPC pages are in use" if not free
+                else f"{count} EPC pages requested, {len(free)} free"
             )
-        pfn = self._free.pop()
-        frame = self._frames.get(pfn)
-        if frame is None:
-            frame = EpcFrame(pfn)
-            self._frames[pfn] = frame
-        frame.in_use = True
-        frame.contents = None
-        return frame
+        frames = self._frames
+        out = []
+        for _ in range(count):
+            pfn = free.pop()
+            frame = frames.get(pfn)
+            if frame is None:
+                frame = frames[pfn] = EpcFrame(pfn)
+            frame.in_use = True
+            frame.contents = None
+            out.append(frame)
+        return out
 
     def free(self, frame):
         """Return a frame to the pool (models EREMOVE's frame release)."""
-        if not frame.in_use:
-            raise SgxError(f"double free of EPC frame {frame.pfn}")
-        frame.in_use = False
-        frame.contents = None
-        self._free.append(frame.pfn)
+        self.free_frames((frame,))
+
+    def free_frames(self, frames):
+        """Return distinct frames to the pool in order, or none of them:
+        a frame that is not in use is a double free."""
+        for frame in frames:
+            if not frame.in_use:
+                raise SgxError(f"double free of EPC frame {frame.pfn}")
+        free = self._free
+        for frame in frames:
+            frame.in_use = False
+            frame.contents = None
+            free.append(frame.pfn)
 
     def frame(self, pfn):
         """Look up a frame by physical number (must be allocated)."""

@@ -65,9 +65,10 @@ class EpcmEntry:
     ``pending``/``modified`` implement the SGX2 two-phase protocol: the
     OS proposes a change (EAUG sets pending, EMODT sets modified) and
     the enclave must EACCEPT it before the page becomes usable again.
-    ``blocked`` marks a page mid-eviction (EBLOCK semantics are folded
-    into EWB here for simplicity; the paper does not rely on EBLOCK
-    separately).
+    ``blocked`` marks a page mid-eviction: EBLOCK sets it, the MMU
+    refuses new translations to it, and EWB requires it (and clears it
+    with ``valid``) — the EBLOCK → shootdown → EWB sequence.  Only
+    EBLOCK's cycle cost is folded into EWB's.
 
     A ``__slots__`` class: one entry exists per EPC frame (hundreds of
     thousands at experiment scale) and the MMU reads one on every walk.

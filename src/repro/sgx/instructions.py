@@ -1,7 +1,7 @@
 """The SGX instruction set (the subset the paper's flows depend on).
 
 Launch:    ECREATE, EADD, EINIT
-Paging v1: EWB, ELDU                       (privileged, driver-executed)
+Paging v1: EBLOCK, EWB, ELDU               (privileged, driver-executed)
 Paging v2: EAUG, EACCEPT, EACCEPTCOPY, EMODPR, EMODT, EREMOVE
            (OS proposes, unprivileged enclave code confirms)
 
@@ -18,7 +18,7 @@ from repro.errors import SgxError
 from repro.sgx.enclave import Enclave
 from repro.sgx.epcm import PageType, Permissions
 from repro.sgx.epoch import TranslationEpoch
-from repro.sgx.params import PAGE_SIZE, page_base, vpn_of
+from repro.sgx.params import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, vpn_of
 from repro.sgx.tcs import Tcs
 
 
@@ -56,6 +56,14 @@ class SgxInstructions:
         if self.op_observer is not None:
             self.op_observer(name, enclave, vaddr)
 
+    @staticmethod
+    def _require_distinct(name, vaddrs):
+        """A batch names each page once: the all-or-nothing checks of a
+        bulk instruction cannot see the effect of its own earlier
+        pages."""
+        if len(set(vaddrs)) != len(vaddrs):
+            raise SgxError(f"{name}: a page appears twice in one batch")
+
     # -- launch ----------------------------------------------------------
 
     def ecreate(self, base, size_pages, attributes=None):
@@ -92,21 +100,46 @@ class SgxInstructions:
         self._observe("einit", enclave)
 
     # -- SGX1 paging (privileged) ------------------------------------------
+    #
+    # Each instruction is implemented over a page list and the
+    # single-page form is a batch of one, so both run the same checks in
+    # the same order.  A batch checks all of its pages before it commits
+    # any of them (ELDU, like a single ELDU, consumes the blobs before it
+    # allocates frames), and a driver that validated a whole batch first
+    # commits it with one epoch bump and one charge.
 
     # EBLOCK's few hundred cycles are folded into the EWB figure the
     # cost model calibrates against (§7.1 measures the eviction
-    # sequence as a whole), so charging here would double-count.
+    # sequence as a whole), so charging here would double-count (the
+    # accounting config exempts ``eblock_pages`` for the same reason).
     # repro: allow[cycle-accounting] cost folded into the EWB figure
     def eblock(self, enclave, vaddr):
         """Mark a page blocked: no *new* TLB translations may be
         created for it (existing ones persist until shot down — the
         window ETRACK exists to close)."""
+        self.eblock_pages(enclave, (vaddr,))
+
+    def eblock_pages(self, enclave, vaddrs):
+        """EBLOCK every page of ``vaddrs``."""
         self.epoch.value += 1
-        entry = self._entry_for(enclave, vaddr)
-        if entry.blocked:
-            raise SgxError(f"EBLOCK: {vaddr:#x} already blocked")
-        entry.blocked = True
-        self._observe("eblock", enclave, vaddr)
+        if len(vaddrs) > 1:
+            self._require_distinct("EBLOCK", vaddrs)
+        backed = enclave.backed
+        entry_of = self.epcm.entry
+        entries = []
+        for vaddr in vaddrs:
+            pfn = backed.get(vaddr >> PAGE_SHIFT)
+            if pfn is None:
+                raise SgxError(f"{vaddr:#x} not backed by EPC")
+            entry = entry_of(pfn)
+            if entry.blocked:
+                raise SgxError(f"EBLOCK: {vaddr:#x} already blocked")
+            entries.append(entry)
+        for entry in entries:
+            entry.blocked = True
+        if self.op_observer is not None:
+            for vaddr in vaddrs:
+                self.op_observer("eblock", enclave, vaddr)
 
     def ewb(self, enclave, vaddr):
         """Evict a page: seal contents, free the frame, return the blob.
@@ -117,43 +150,79 @@ class SgxInstructions:
         We verify the latter directly against the TLB when the kernel
         registered one.
         """
+        return self.ewb_pages(enclave, (vaddr,))[0]
+
+    def ewb_pages(self, enclave, vaddrs):
+        """EWB every page of ``vaddrs``; returns the sealed blobs in
+        order.  Frames go back to the free list in page order."""
         self.epoch.value += 1
-        self.clock.charge(self.cost.ewb, Category.SGX_PAGING)
-        vpn = vpn_of(vaddr)
-        pfn = enclave.backed.get(vpn)
-        if pfn is None:
-            raise SgxError(f"EWB: {vaddr:#x} not backed by EPC")
-        entry = self.epcm.entry(pfn)
-        if not entry.blocked:
-            raise SgxError(
-                f"EWB: {vaddr:#x} not blocked (EBLOCK required first)"
-            )
-        if self.tlb is not None and page_base(vaddr) in self.tlb:
-            raise SgxError(
-                f"EWB: stale TLB translation for {vaddr:#x} "
-                "(ETRACK shootdown incomplete)"
-            )
-        frame = self.epc.frame(pfn)
-        sealed = self.hw_crypto.seal(
-            enclave.enclave_id, page_base(vaddr), frame.contents
-        )
-        entry.valid = False
-        entry.blocked = False
-        self.epc.free(frame)
-        del enclave.backed[vpn]
-        self._observe("ewb", enclave, vaddr)
+        self.clock.charge(self.cost.ewb * len(vaddrs), Category.SGX_PAGING)
+        if len(vaddrs) > 1:
+            self._require_distinct("EWB", vaddrs)
+        backed = enclave.backed
+        entry_of = self.epcm.entry
+        frame_of = self.epc.frame
+        cached = self.tlb.residency() if self.tlb is not None else {}
+        entries, frames, bases, contents = [], [], [], []
+        for vaddr in vaddrs:
+            vpn = vaddr >> PAGE_SHIFT
+            pfn = backed.get(vpn)
+            if pfn is None:
+                raise SgxError(f"EWB: {vaddr:#x} not backed by EPC")
+            entry = entry_of(pfn)
+            if not entry.blocked:
+                raise SgxError(
+                    f"EWB: {vaddr:#x} not blocked (EBLOCK required first)"
+                )
+            if vpn in cached:
+                raise SgxError(
+                    f"EWB: stale TLB translation for {vaddr:#x} "
+                    "(ETRACK shootdown incomplete)"
+                )
+            frame = frame_of(pfn)
+            entries.append(entry)
+            frames.append(frame)
+            bases.append(vaddr & PAGE_MASK)
+            contents.append(frame.contents)
+        sealed = self.hw_crypto.seal_pages(enclave.enclave_id, bases,
+                                           contents)
+        for entry in entries:
+            entry.valid = False
+            entry.blocked = False
+        self.epc.free_frames(frames)
+        for vaddr in vaddrs:
+            del backed[vaddr >> PAGE_SHIFT]
+        if self.op_observer is not None:
+            for vaddr in vaddrs:
+                self.op_observer("ewb", enclave, vaddr)
         return sealed
 
     def eldu(self, enclave, vaddr, sealed, perms=Permissions.RW):
         """Reload an evicted page, verifying integrity and freshness."""
-        self._check_range(enclave, vaddr)
-        self.clock.charge(self.cost.eldu, Category.SGX_PAGING)
-        contents = self.hw_crypto.unseal(
-            enclave.enclave_id, page_base(vaddr), sealed
-        )
-        pfn = self._install(enclave, vaddr, contents, perms, PageType.REG)
-        self._observe("eldu", enclave, vaddr)
-        return pfn
+        return self.eldu_pages(enclave, (vaddr,), (sealed,), (perms,))[0]
+
+    def eldu_pages(self, enclave, vaddrs, blobs, perms):
+        """ELDU each ``(vaddr, sealed blob, permissions)`` triple; returns
+        the new PFNs in order.  Every blob is verified before any is
+        consumed, so a batch with one bad blob loads nothing."""
+        low, high = enclave.base, enclave.limit
+        bases = []
+        for vaddr in vaddrs:
+            if not low <= vaddr < high:
+                self._check_range(enclave, vaddr)
+            bases.append(vaddr & PAGE_MASK)
+        self.clock.charge(self.cost.eldu * len(vaddrs), Category.SGX_PAGING)
+        if len(vaddrs) > 1:
+            self._require_distinct("ELDU", vaddrs)
+        crypto = self.hw_crypto
+        contents = crypto.verify_pages(enclave.enclave_id, bases, blobs)
+        crypto.consume(enclave.enclave_id, bases)
+        pfns = self._install_pages(enclave, vaddrs, contents, perms,
+                                   PageType.REG)
+        if self.op_observer is not None:
+            for vaddr in vaddrs:
+                self.op_observer("eldu", enclave, vaddr)
+        return pfns
 
     # -- SGX2 dynamic memory management ------------------------------------
 
@@ -248,25 +317,39 @@ class SgxInstructions:
     # -- helpers -----------------------------------------------------------
 
     def _install(self, enclave, vaddr, contents, perms, page_type):
-        if vaddr % PAGE_SIZE:
-            raise SgxError(f"unaligned enclave page {vaddr:#x}")
+        return self._install_pages(enclave, (vaddr,), (contents,),
+                                   (perms,), page_type)[0]
+
+    def _install_pages(self, enclave, vaddrs, contents, perms, page_type):
+        """Back each page with a fresh frame (allocated in page order)
+        and a valid EPCM entry; returns the PFNs."""
+        backed = enclave.backed
+        for vaddr in vaddrs:
+            if vaddr % PAGE_SIZE:
+                raise SgxError(f"unaligned enclave page {vaddr:#x}")
+            if vaddr >> PAGE_SHIFT in backed:
+                raise SgxError(f"{vaddr:#x} already backed by EPC")
         self.epoch.value += 1
-        vpn = vpn_of(vaddr)
-        if vpn in enclave.backed:
-            raise SgxError(f"{vaddr:#x} already backed by EPC")
-        frame = self.epc.alloc()
-        frame.contents = contents
-        entry = self.epcm.entry(frame.pfn)
-        entry.valid = True
-        entry.page_type = page_type
-        entry.enclave_id = enclave.enclave_id
-        entry.vaddr = vaddr
-        entry.perms = perms
-        entry.pending = False
-        entry.modified = False
-        entry.blocked = False
-        enclave.backed[vpn] = frame.pfn
-        return frame.pfn
+        frames = self.epc.alloc_frames(len(vaddrs))
+        entry_of = self.epcm.entry
+        enclave_id = enclave.enclave_id
+        pfns = []
+        for i, frame in enumerate(frames):
+            vaddr = vaddrs[i]
+            pfn = frame.pfn
+            frame.contents = contents[i]
+            entry = entry_of(pfn)
+            entry.valid = True
+            entry.page_type = page_type
+            entry.enclave_id = enclave_id
+            entry.vaddr = vaddr
+            entry.perms = perms[i]
+            entry.pending = False
+            entry.modified = False
+            entry.blocked = False
+            backed[vaddr >> PAGE_SHIFT] = pfn
+            pfns.append(pfn)
+        return pfns
 
     def _entry_for(self, enclave, vaddr):
         pfn = enclave.backed.get(vpn_of(vaddr))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.errors import SgxError
 from repro.sgx.epoch import TranslationEpoch
-from repro.sgx.params import AccessType, vpn_of
+from repro.sgx.params import PAGE_SHIFT, AccessType, vpn_of
 
 
 class Pte:
@@ -84,17 +84,20 @@ class PageTable:
 
     def map(self, vaddr, pfn, writable=True, executable=False,
             accessed=False, dirty=False):
+        self.map_pages((vaddr,), (pfn,), writable, executable, accessed,
+                       dirty)
+        return self._ptes[vpn_of(vaddr)]
+
+    def map_pages(self, vaddrs, pfns, writable=True, executable=False,
+                  accessed=False, dirty=False):
+        """Install one present PTE per ``(vaddr, pfn)`` pair, in order,
+        with the same permission and A/D bits: one epoch bump."""
         self.epoch.value += 1
-        vpn = vpn_of(vaddr)
-        self._ptes[vpn] = Pte(
-            pfn=pfn,
-            present=True,
-            writable=writable,
-            executable=executable,
-            accessed=accessed,
-            dirty=dirty,
-        )
-        return self._ptes[vpn]
+        ptes = self._ptes
+        for vaddr, pfn in zip(vaddrs, pfns):
+            ptes[vaddr >> PAGE_SHIFT] = Pte(
+                pfn, True, writable, executable, accessed, dirty,
+            )
 
     def unmap(self, vaddr):
         """Clear the present bit (keeps the PFN for later remap)."""
@@ -106,16 +109,26 @@ class PageTable:
     def remap(self, vaddr):
         """Restore the present bit of a previously unmapped page."""
         self.epoch.value += 1
-        pte = self._require(vaddr, present_ok=False)
+        pte = self._require(vaddr)
         pte.present = True
 
     def drop(self, vaddr):
         """Remove the PTE entirely (page fully deallocated)."""
+        self.drop_pages((vaddr,))
+
+    def drop_pages(self, vaddrs):
+        """Remove the PTEs of a list of pages: one epoch bump and one
+        shootdown sweep per TLB for the whole list."""
         self.epoch.value += 1
-        self._ptes.pop(vpn_of(vaddr), None)
-        self._shootdown(vaddr)
-        if self.op_observer is not None:
-            self.op_observer("drop", vaddr)
+        pop = self._ptes.pop
+        for vaddr in vaddrs:
+            pop(vaddr >> PAGE_SHIFT, None)
+        for tlb in self._shootdown_targets:
+            tlb.flush_pages(vaddrs)
+        observe = self.op_observer
+        if observe is not None:
+            for vaddr in vaddrs:
+                observe("drop", vaddr)
 
     def set_protection(self, vaddr, writable=None, executable=None):
         self.epoch.value += 1
@@ -131,7 +144,7 @@ class PageTable:
         attacker's monitoring loop, and by Autarky's driver which must
         pre-set both bits for self-paging enclaves)."""
         self.epoch.value += 1
-        pte = self._require(vaddr, present_ok=False)
+        pte = self._require(vaddr)
         if accessed is not None:
             pte.accessed = accessed
         if dirty is not None:
@@ -140,19 +153,17 @@ class PageTable:
 
     def read_accessed_dirty(self, vaddr):
         """Sample the A/D bits of a page (attacker primitive)."""
-        pte = self._require(vaddr, present_ok=False)
+        pte = self._require(vaddr)
         return pte.accessed, pte.dirty
 
     # -- internals ---------------------------------------------------------
 
-    def _require(self, vaddr, present_ok=True):
+    def _require(self, vaddr):
+        """The PTE covering ``vaddr``, present or not (the OS may operate
+        on a non-present PTE)."""
         pte = self._ptes.get(vpn_of(vaddr))
         if pte is None:
             raise SgxError(f"no PTE for {vaddr:#x}")
-        if present_ok and not pte.present:
-            # Operating on a non-present PTE is legal for the OS; only
-            # flag cases where calling code clearly expected presence.
-            pass
         return pte
 
     def _shootdown(self, vaddr):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
+#: ``vaddr & PAGE_MASK`` is the base of the page holding ``vaddr``.
+PAGE_MASK = ~(PAGE_SIZE - 1)
 
 #: Default EPC of the paper's evaluation machine: 256 MB reserved,
 #: ≈190 MB usable for enclave pages.
@@ -37,7 +39,7 @@ def vpn_of(vaddr):
 
 def page_base(vaddr):
     """Base address of the page containing ``vaddr``."""
-    return vaddr & ~(PAGE_SIZE - 1)
+    return vaddr & PAGE_MASK
 
 
 class AccessType(enum.Enum):

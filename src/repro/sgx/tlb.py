@@ -97,7 +97,14 @@ class Tlb:
 
     def flush_page(self, vaddr):
         """Single-page shootdown (OS unmap/protect)."""
-        self._entries.pop(vaddr >> PAGE_SHIFT, None)
+        self.flush_pages((vaddr,))
+
+    def flush_pages(self, vaddrs):
+        """Shoot down every page of a list: one sweep, one epoch bump
+        (the IPI round of a batched unmap)."""
+        pop = self._entries.pop
+        for vaddr in vaddrs:
+            pop(vaddr >> PAGE_SHIFT, None)
         self.epoch.value += 1
 
     def residency(self):

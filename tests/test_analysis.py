@@ -154,6 +154,18 @@ class TestMutationDiscipline:
         )
         assert rules_of(report) == ["mutation-discipline/call"]
 
+    def test_bulk_mutators_flagged(self):
+        report = check(
+            """
+            def grab(kernel, vaddrs):
+                frames = kernel.epc.alloc_frames(len(vaddrs))
+                kernel.epc.free_frames(frames)
+                kernel.tlb.flush_pages(vaddrs)
+            """,
+            module="repro.experiments.grab",
+        )
+        assert rules_of(report) == ["mutation-discipline/call"] * 3
+
     def test_sanctioned_module_exempt(self):
         report = check(
             """
@@ -1028,6 +1040,33 @@ class TestLifecycle:
             module=self.MODULE,
         )
         assert rules_of(report) == ["lifecycle/evict-order"]
+
+    def test_bulk_ewb_before_bulk_drop_flagged(self):
+        report = check(
+            """
+            def evict(instr, pt, enclave, bases):
+                instr.eblock_pages(enclave, bases)
+                instr.ewb_pages(enclave, bases)
+                pt.drop_pages(bases)
+            """,
+            module=self.MODULE,
+        )
+        assert rules_of(report) == ["lifecycle/evict-order"]
+        assert "drop(bases) after EWB" in report.findings[0].message
+
+    def test_bulk_eviction_in_order_ok(self):
+        report = check(
+            """
+            def cycle(instr, page_table, enclave, bases, blobs, perms):
+                instr.eblock_pages(enclave, bases)
+                page_table.drop_pages(bases)
+                instr.ewb_pages(enclave, bases)
+                instr.eldu_pages(enclave, bases, blobs, perms)
+                instr.eblock_pages(enclave, bases)
+            """,
+            module=self.MODULE,
+        )
+        assert report.ok(), report.render_text()
 
     def test_eldu_resets_the_eviction_key(self):
         report = check(

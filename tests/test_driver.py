@@ -156,6 +156,25 @@ class TestAutarkyIoctls:
         rig.driver.ay_fetch_pages(rig.enclave, [page(0)])
         assert rig.driver.ay_fetch_pages(rig.enclave, [page(0)]) == []
 
+    def test_fetch_outside_every_region_rejected_before_side_effects(
+            self, kernel):
+        # Inside the enclave, outside every declared region: the fetch
+        # must fail the way page_in does, before touching the EPC.
+        enclave = kernel.driver.create_enclave(BASE, 16, quota_pages=8)
+        kernel.driver.declare_region(enclave, BASE, 8)
+        kernel.instr.einit(enclave)
+        outside = page(12)
+        kernel.driver.ay_set_enclave_managed(enclave, [outside])
+        free = kernel.epc.free_pages
+        for _attempt in range(2):   # a retry must not report success
+            with pytest.raises(SgxError,
+                               match="access outside any declared region"):
+                kernel.driver.ay_fetch_pages(enclave, [outside])
+        assert kernel.epc.free_pages == free
+        assert not kernel.driver.resident(enclave, outside)
+        assert kernel.page_table.lookup(outside) is None
+        assert kernel.driver.pages_in == 0
+
     def test_release_back_to_os(self, rig):
         rig.driver.ay_set_enclave_managed(rig.enclave, [page(0)])
         rig.driver.ay_fetch_pages(rig.enclave, [page(0)])
