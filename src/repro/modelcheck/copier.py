@@ -1,0 +1,186 @@
+"""Copying explored worlds: ``copy.deepcopy``'s result in one pass.
+
+Every transition the explorer takes copies the parent world, and a
+world is a whole booted system — kernel, EPC, enclave, runtime,
+oracle, recovery manager — of a few hundred objects.  Per object,
+``copy.deepcopy`` spends most of its time on protocol lookups
+(``__deepcopy__``, ``__reduce_ex__``, ``copyreg``), the reduce tuple
+and ``_reconstruct``, none of which a plain instance needs.
+:func:`clone` returns the object graph ``copy.deepcopy`` returns and
+takes the direct route for the types a world is made of:
+
+* the atomic types of :mod:`copy` (``None``, numbers, ``str``,
+  ``bytes``, classes, functions, builtins, code, ``range``, weakrefs,
+  properties) and enum members are shared, never copied;
+* a ``dict`` or ``list`` is entered in the memo before its items, so
+  cycles and aliasing come out as ``deepcopy``'s do;
+* a ``tuple`` is returned as-is when every element copies to itself;
+* a bound method is rebound to the copied ``__self__`` with the same
+  ``__func__``, so hooks bound to an instance (the lifecycle oracle's
+  observers) or installed on a class (tracing wrappers) survive;
+* an instance of a class with *default reduction* — no
+  ``__reduce__``, ``__reduce_ex__``, ``__getstate__``,
+  ``__setstate__``, ``__getnewargs__``, ``__deepcopy__`` or
+  ``__copy__`` below ``object``, no attribute hooks, and
+  ``object.__new__`` — is rebuilt from its ``__dict__`` and its set
+  ``__slots__``, as ``copy._reconstruct`` rebuilds it;
+* every other type (sets, deques, ``defaultdict``, classes with their
+  own reduction) goes to ``copy.deepcopy(x, memo)`` on the same memo,
+  so an object reached through both paths is still copied once.
+
+Originals stay referenced from the memo until the copy is done, as
+``deepcopy``'s ``_keep_alive`` keeps them, so no ``id`` is reused
+mid-copy.  ``tests/test_copier.py`` checks the contract against
+``copy.deepcopy`` on generated action traces of every world.
+"""
+
+from __future__ import annotations
+
+import copy
+import copyreg
+import enum
+import functools
+import sys
+import types
+import weakref
+
+#: Types ``copy.deepcopy`` returns as they are.  ``range`` joined them
+#: in Python 3.10; before that ``deepcopy`` rebuilt ranges.
+ATOMIC = frozenset((
+    type(None), type(Ellipsis), type(NotImplemented),
+    int, float, bool, complex, bytes, str,
+    types.CodeType, type, types.BuiltinFunctionType, types.FunctionType,
+    weakref.ref, property,
+) + ((range,) if sys.version_info >= (3, 10) else ()))
+
+#: Class attributes that, defined anywhere below ``object`` in the
+#: MRO, change how ``deepcopy`` rebuilds an instance.
+_REDUCTION_HOOKS = (
+    "__reduce__", "__reduce_ex__", "__getstate__", "__setstate__",
+    "__getnewargs__", "__getnewargs_ex__", "__deepcopy__", "__copy__",
+    "__getattr__", "__getattribute__", "__new__",
+)
+
+#: ``Py_TPFLAGS_HEAPTYPE``: the class was defined in Python, not in C.
+_HEAPTYPE = 1 << 9
+
+#: Plans that are not a default-reduction layout (see :func:`plan`).
+SHARED = "shared"
+DEEPCOPY = "deepcopy"
+
+_NIL = object()
+
+
+def _overrides(cls, name):
+    return any(name in vars(klass) for klass in cls.__mro__[:-1])
+
+
+@functools.lru_cache(maxsize=None)
+def plan(cls):
+    """How :func:`clone` copies an instance of ``cls``.
+
+    :data:`SHARED` when ``deepcopy`` returns the object itself,
+    :data:`DEEPCOPY` when the instance must go to ``copy.deepcopy``,
+    else the default-reduction layout ``(has_dict, slot_names)``."""
+    if issubclass(cls, type):
+        return SHARED
+    if issubclass(cls, enum.Enum):
+        # Members copy to themselves: through Enum.__deepcopy__ where it
+        # exists, through reduction to cls(value) before that.
+        default = all(
+            getattr(cls, name, None) is getattr(enum.Enum, name, None)
+            for name in ("__deepcopy__", "__reduce_ex__"))
+        return SHARED if default else DEEPCOPY
+    if (not cls.__flags__ & _HEAPTYPE or cls in copyreg.dispatch_table
+            or any(_overrides(cls, name) for name in _REDUCTION_HOOKS)):
+        return DEEPCOPY
+    return (cls.__dictoffset__ != 0, tuple(copyreg._slotnames(cls)))
+
+
+def clone(root):
+    """A deep copy of ``root``: the object graph ``copy.deepcopy(root)``
+    returns, built without ``deepcopy``'s per-object protocol lookups
+    wherever the type allows."""
+    memo = {}
+    keep_alive = memo.setdefault(id(memo), []).append
+    memo_get = memo.get
+    atomic = ATOMIC
+    plan_of = plan
+    deepcopy = copy.deepcopy
+    new = object.__new__
+    method = types.MethodType
+
+    def copy_(x):
+        y = memo_get(id(x), _NIL)
+        if y is not _NIL:
+            return y
+        cls = type(x)
+        if cls is dict:
+            y = {}
+            memo[id(x)] = y
+            keep_alive(x)
+            for key, value in x.items():
+                if type(key) not in atomic:
+                    key = copy_(key)
+                if type(value) not in atomic:
+                    value = copy_(value)
+                y[key] = value
+            return y
+        if cls is list:
+            y = []
+            memo[id(x)] = y
+            keep_alive(x)
+            append = y.append
+            for item in x:
+                append(item if type(item) in atomic else copy_(item))
+            return y
+        if cls is tuple:
+            items = [item if type(item) in atomic else copy_(item)
+                     for item in x]
+            # A tuple is memoized only after its items, and one of them
+            # may have reached it through a cycle meanwhile.
+            y = memo_get(id(x), _NIL)
+            if y is not _NIL:
+                return y
+            for old, item in zip(x, items):
+                if old is not item:
+                    y = memo[id(x)] = tuple(items)
+                    keep_alive(x)
+                    return y
+            return x
+        if cls is method:
+            y = memo[id(x)] = method(x.__func__, copy_(x.__self__))
+            keep_alive(x)
+            return y
+        if cls in atomic:
+            return x
+        layout = plan_of(cls)
+        if layout is SHARED:
+            return x
+        if layout is DEEPCOPY:
+            return deepcopy(x, memo)
+        y = memo[id(x)] = new(cls)
+        keep_alive(x)
+        has_dict, slots = layout
+        if has_dict:
+            # deepcopy rebuilds the state in a detached dict and updates
+            # the new __dict__ from it; filling the new __dict__ in place
+            # gives the same graph (attribute names are strings, which
+            # copy to themselves) without the extra dict.
+            state = x.__dict__
+            if state:
+                fields = y.__dict__
+                fields.update(state)
+                for key, value in state.items():
+                    if type(value) not in atomic:
+                        fields[key] = copy_(value)
+        for name in slots:
+            try:
+                value = getattr(x, name)
+            except AttributeError:
+                continue
+            setattr(y, name,
+                    value if type(value) in atomic else copy_(value))
+        return y
+
+    return copy_(root)

@@ -19,8 +19,6 @@ crash restore).  Anything else is an invariant violation.
 
 from __future__ import annotations
 
-import copy
-
 from repro.analysis.passes.lifecycle.oracle import LifecycleOracle
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultEvent, FaultKind, FaultPlan
@@ -35,6 +33,7 @@ from repro.errors import (
     PolicyError,
     SgxError,
 )
+from repro.modelcheck.copier import clone
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.program import EnclaveProgram
 from repro.recovery.state import canonical_state
@@ -545,5 +544,5 @@ def replay(policy_name, trace):
 
 def successor(world, action):
     """The world after ``action``, leaving ``world`` untouched."""
-    child = copy.deepcopy(world)
+    child = clone(world)
     return apply_action(child, action)

@@ -31,8 +31,6 @@ seeded chaos runs sample but cannot enumerate.
 
 from __future__ import annotations
 
-import copy
-
 from repro.core.digest import canonical_digest
 from repro.core.invariants import epc_parity, masked_faults
 from repro.errors import (
@@ -44,6 +42,7 @@ from repro.errors import (
     SgxError,
 )
 from repro.host.kernel import HostKernel
+from repro.modelcheck.copier import clone
 from repro.recovery.program import EnclaveProgram
 from repro.recovery.state import canonical_state
 from repro.recovery.supervisor import (
@@ -576,5 +575,6 @@ def replay(policy_name, trace):
 
 
 def successor(world, action):
-    child = copy.deepcopy(world)
+    """The world after ``action``, leaving ``world`` untouched."""
+    child = clone(world)
     return apply_action(child, action)

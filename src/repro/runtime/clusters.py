@@ -21,7 +21,6 @@ The public API mirrors Table 1 of the paper.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 
 from repro.errors import PolicyError
@@ -35,7 +34,7 @@ class ClusterManager:
         self._clusters = {}        # cluster_id -> set of page bases
         self._capacity = {}        # cluster_id -> max pages (None = no cap)
         self._page_clusters = {}   # page base -> set of cluster_ids
-        self._ids = itertools.count(1)
+        self._next_id = 1          # the next new cluster's id
 
     # -- Table 1 API ---------------------------------------------------------
 
@@ -83,7 +82,8 @@ class ClusterManager:
     # -- system-side operations ----------------------------------------------
 
     def new_cluster(self, capacity=None):
-        cluster_id = next(self._ids)
+        cluster_id = self._next_id
+        self._next_id += 1
         self._clusters[cluster_id] = set()
         self._capacity[cluster_id] = capacity
         return cluster_id

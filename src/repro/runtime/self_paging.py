@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -72,7 +71,7 @@ class SelfPager:
         self._unit_of = {}               # vpn -> EvictionUnit
         self._fifo = deque()             # EvictionUnits, oldest first
         self._freq_heap = []             # (fault_count, seq, unit)
-        self._seq = itertools.count()
+        self._seq = 0                    # next unit's tie-breaker
         #: Lifetime fault count per page — survives unit churn so the
         #: frequency evictor can learn which pages stay hot.
         self._page_faults = defaultdict(int)
@@ -341,9 +340,10 @@ class SelfPager:
     def _push_unit(self, vpns):
         unit = EvictionUnit(
             pages=vpns,
-            seq=next(self._seq),
+            seq=self._seq,
             fault_count=sum(self._page_faults[v] for v in vpns),
         )
+        self._seq += 1
         for vpn in vpns:
             old = self._unit_of.get(vpn)
             if old is not None:

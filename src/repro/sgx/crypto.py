@@ -14,7 +14,6 @@ callers) are what the paper's flows depend on, not the cipher itself.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 from repro.errors import IntegrityError
@@ -40,7 +39,8 @@ class PagingCrypto:
     """
 
     def __init__(self):
-        self._nonce = itertools.count(1)
+        #: The last nonce issued (the first seal gets 1).
+        self._nonce = 0
         #: (enclave_id, vaddr) -> monotonically increasing seal count.
         #: Never reset, so a blob from an earlier eviction epoch can
         #: never match again (models the VA-slot anti-replay property).
@@ -58,7 +58,7 @@ class PagingCrypto:
         page would."""
         next_version = self._next_version
         outstanding = self._outstanding
-        nonces = self._nonce
+        nonce = self._nonce
         mac = self._mac
         sealed = []
         for vaddr, page in zip(vaddrs, contents):
@@ -66,11 +66,12 @@ class PagingCrypto:
             version = next_version.get(key, 0) + 1
             next_version[key] = version
             outstanding[key] = version
-            nonce = next(nonces)
+            nonce += 1
             sealed.append(SealedPage(
                 enclave_id, vaddr, version, nonce, page,
                 mac(enclave_id, vaddr, version, nonce, page),
             ))
+        self._nonce = nonce
         return sealed
 
     def unseal(self, enclave_id, vaddr, sealed):

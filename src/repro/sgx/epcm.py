@@ -11,6 +11,7 @@ design the paper builds on.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.errors import EpcmViolation
@@ -70,8 +71,10 @@ class EpcmEntry:
     with ``valid``) — the EBLOCK → shootdown → EWB sequence.  Only
     EBLOCK's cycle cost is folded into EWB's.
 
-    A ``__slots__`` class: one entry exists per EPC frame (hundreds of
-    thousands at experiment scale) and the MMU reads one on every walk.
+    A ``__slots__`` class: the MMU reads one on every walk, and an EPC
+    at experiment scale has hundreds of thousands of frames.  An entry
+    is created the first time its frame is used (see :class:`Epcm`);
+    until then the frame reads as invalid.
     """
 
     __slots__ = ("valid", "page_type", "enclave_id", "vaddr", "perms",
@@ -91,13 +94,28 @@ class EpcmEntry:
 
 
 class Epcm:
-    """The EPC map: one entry per physical EPC frame."""
+    """The EPC map: the entries of the physical EPC frames in use.
+
+    An entry is created when its frame is first used, as
+    :class:`~repro.sgx.epc.EpcAllocator` creates its frames, so a map
+    costs (and a model-checker copy of it copies) the frames a system
+    touched rather than the whole EPC.  A frame never used reads as a
+    fresh, invalid entry.
+    """
 
     def __init__(self, total_pages):
-        self._entries = [EpcmEntry() for _ in range(total_pages)]
+        self.total_pages = total_pages
+        self._entries = defaultdict(EpcmEntry)
 
     def entry(self, pfn):
-        return self._entries[pfn]
+        """The entry of frame ``pfn`` (``IndexError`` outside the EPC)."""
+        if 0 <= pfn < self.total_pages:
+            return self._entries[pfn]
+        raise self._outside(pfn)
+
+    def _outside(self, pfn):
+        return IndexError(
+            f"pfn {pfn} outside the {self.total_pages}-frame EPC map")
 
     def check_access(self, pfn, enclave_id, vaddr, access):
         """The MMU's post-walk EPCM check (§2.1 "Access control").
@@ -106,8 +124,10 @@ class Epcm:
         does not match what the enclave agreed to — the hardware turns
         this into a page fault.
         """
-        entry = self._entries[pfn]
-        if not entry.valid:
+        entry = self._entries.get(pfn)
+        if entry is None or not entry.valid:
+            if not 0 <= pfn < self.total_pages:
+                raise self._outside(pfn)
             raise EpcmViolation(f"pfn {pfn}: EPCM entry invalid")
         if entry.page_type is not PageType.REG:
             raise EpcmViolation(

@@ -237,6 +237,7 @@ class SgxInstructions:
         pfn = self._install(enclave, vaddr, None, Permissions.RW,
                             PageType.REG)
         self.epcm.entry(pfn).pending = True
+        self._observe("eaug", enclave, vaddr)
         return pfn
 
     def eaccept(self, enclave, vaddr):

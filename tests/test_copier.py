@@ -1,0 +1,238 @@
+"""The model checker's world copier against ``copy.deepcopy``.
+
+``repro.modelcheck.copier.clone`` must return the object graph
+``copy.deepcopy`` returns.  The tests walk both copies of a world in
+lockstep with the original and compare them node by node, on fixed and
+on generated action traces of every world, then check that both copies
+behave the same under every enabled action.
+"""
+
+import copy
+import copyreg
+import gc
+import itertools
+import random
+import types
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.clock import Clock
+from repro.modelcheck import model, poolworld
+from repro.modelcheck.copier import clone, plan
+from repro.modelcheck.explorer import domain_for
+
+WORLDS = model.POLICIES + poolworld.WORLDS
+
+
+def _module(name):
+    return poolworld if name in poolworld.WORLDS else model
+
+
+def _edges(old, fast, ref):
+    """Lockstep ``(old, fast, ref, label)`` children of three nodes of
+    one type: what ``deepcopy`` copies out of ``old``."""
+    if isinstance(old, dict):
+        keys = list(old), list(fast), list(ref)
+        assert len(keys[0]) == len(keys[1]) == len(keys[2])
+        for k_old, k_fast, k_ref in zip(*keys):
+            yield k_old, k_fast, k_ref, f"key {k_old!r}"
+            yield old[k_old], fast[k_fast], ref[k_ref], f"[{k_old!r}]"
+        if hasattr(old, "default_factory"):
+            yield (old.default_factory, fast.default_factory,
+                   ref.default_factory, ".default_factory")
+        return
+    if isinstance(old, (list, tuple, deque)):
+        assert len(old) == len(fast) == len(ref)
+        if isinstance(old, deque):
+            assert old.maxlen == fast.maxlen == ref.maxlen
+        for i, items in enumerate(zip(old, fast, ref)):
+            yield items + (f"[{i}]",)
+        return
+    if isinstance(old, (set, frozenset)):
+        # World sets hold ints, strings and tuples of them: elements
+        # deepcopy shares.
+        assert old == fast == ref
+        by_id = {id(item) for item in old}
+        assert all(id(item) in by_id for item in fast), "set element copied"
+        assert all(id(item) in by_id for item in ref), "set element copied"
+        return
+    if isinstance(old, types.MethodType):
+        assert old.__func__ is fast.__func__ is ref.__func__
+        yield old.__self__, fast.__self__, ref.__self__, ".__self__"
+        return
+    if isinstance(old, random.Random):
+        assert old.getstate() == fast.getstate() == ref.getstate()
+        return
+    slots = copyreg._slotnames(type(old))
+    assert hasattr(old, "__dict__") or slots, \
+        f"the walker cannot look inside {type(old).__name__}"
+    if hasattr(old, "__dict__"):
+        state = vars(old)
+        assert list(state) == list(vars(fast)) == list(vars(ref))
+        for name, value in state.items():
+            yield value, vars(fast)[name], vars(ref)[name], f".{name}"
+    for name in slots:
+        present = hasattr(old, name)
+        assert hasattr(fast, name) == hasattr(ref, name) == present
+        if present:
+            yield (getattr(old, name), getattr(fast, name),
+                   getattr(ref, name), f".{name}")
+
+
+def assert_same_graph(old, fast, ref):
+    """``fast`` and ``ref`` are the same object graph copied out of
+    ``old``: the same type at every node, the same shared leaves, every
+    other node new and private to its copy, and the same aliasing."""
+    partner = {}    # id(fast node) -> ref node
+    taken = set()   # ids of ref nodes already paired
+    stack = [(old, fast, ref, "world")]
+    while stack:
+        o, f, r, path = stack.pop()
+        assert type(o) is type(f) is type(r), path
+        if r is o:
+            assert f is o, f"{path}: deepcopy shares it, clone copied it"
+            continue
+        assert f is not o, f"{path}: clone shares it, deepcopy copied it"
+        assert f is not r, f"{path}: shared between the two copies"
+        if id(f) in partner:
+            assert partner[id(f)] is r, f"{path}: aliasing differs"
+            continue
+        assert id(r) not in taken, f"{path}: aliasing differs"
+        partner[id(f)] = r
+        taken.add(id(r))
+        for o_child, f_child, r_child, label in _edges(o, f, r):
+            stack.append((o_child, f_child, r_child, path + label))
+    return len(partner)
+
+
+def _observables(world, check):
+    oracle = getattr(world, "oracle", None)
+    return (
+        world.state_key(),
+        world.outcome,
+        world.reason,
+        list(world.violations),
+        list(oracle.violations) if oracle is not None else None,
+        check(world),
+    )
+
+
+def assert_clone_matches_deepcopy(name, world):
+    """The graph check, then every enabled action applied to a clone
+    and to a deep copy must leave the same observable state."""
+    _, _, enabled, _, check = domain_for(name)
+    assert not world.terminal
+    fast, ref = clone(world), copy.deepcopy(world)
+    assert assert_same_graph(world, fast, ref) > 100
+    apply_action = _module(name).apply_action
+    for action in enabled(world):
+        assert _observables(apply_action(clone(world), action), check) \
+            == _observables(apply_action(copy.deepcopy(world), action),
+                            check), action
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_clone_of_a_booted_world_matches_deepcopy(name):
+    world = domain_for(name)[0](name)
+    key = world.state_key()
+    assert_clone_matches_deepcopy(name, world)
+    assert world.state_key() == key
+
+
+@st.composite
+def explored_worlds(draw):
+    """A world at the end of a generated trace of enabled actions, as
+    the explorer reaches it (never past a terminal state)."""
+    name = draw(st.sampled_from(WORLDS))
+    boot, replay, enabled, _, _ = domain_for(name)
+    world = boot(name)
+    apply_action = _module(name).apply_action
+    trace = []
+    for _ in range(draw(st.integers(0, 3))):
+        trace.append(draw(st.sampled_from(enabled(world))))
+        apply_action(world, trace[-1])
+        if world.terminal:
+            # Terminal worlds are never expanded, so never copied.
+            world = replay(name, trace[:-1])
+            break
+    return name, world
+
+
+@settings(max_examples=25, deadline=None)
+@given(explored_worlds())
+def test_clone_matches_deepcopy_on_generated_traces(case):
+    assert_clone_matches_deepcopy(*case)
+
+
+def test_clone_keeps_a_wrapper_installed_on_the_class(monkeypatch):
+    # Tracing wrappers replace Clock.charge before boot, and the
+    # engines bind clock.charge when they are built: the copy's bound
+    # methods must keep the wrapper and charge the copy's own clock.
+    charged = []
+    original = Clock.charge
+
+    def wrapper(self, *args, **kwargs):
+        charged.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Clock, "charge", wrapper)
+    world = model.boot("rate_limit")
+    child = clone(world)
+    assert_same_graph(world, child, copy.deepcopy(world))
+    charged.clear()
+    model.apply_action(child, "touch:0")
+    assert charged
+    assert all(clock is child.kernel.clock for clock in charged)
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_no_itertools_count_in_a_world(name):
+    # Copying an itertools.count warns from Python 3.12 on and fails
+    # from 3.14: world counters are plain ints.
+    world = domain_for(name)[0](name)
+    seen, stack = {id(world)}, [world]
+    skip = (type, types.ModuleType, types.FunctionType, types.CodeType,
+            types.BuiltinFunctionType)
+    while stack:
+        node = stack.pop()
+        assert not isinstance(node, itertools.count), node
+        for ref in gc.get_referents(node):
+            if not isinstance(ref, skip) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    assert len(seen) > 100
+
+
+def test_shared_and_fallback_types():
+    class Plain:
+        def hook(self):
+            return self
+
+    class Slotted:
+        __slots__ = ("a", "b")
+
+    class Named:
+        def __reduce__(self):
+            # Reduced to a global name: deepcopy shares the object.
+            return "NAMED"
+
+    shared_tuple = (1, "x", None)
+    node = Plain()
+    node.items = [node, {1, 2}, shared_tuple, deque([3]), Named()]
+    node.slotted = Slotted()
+    node.slotted.a = node.items
+    node.bound = node.hook
+    out = clone(node)
+    assert out.items[0] is out
+    assert out.items[2] is shared_tuple
+    assert out.items[4] is node.items[4]
+    assert out.slotted.a is out.items
+    assert not hasattr(out.slotted, "b")
+    assert out.bound() is out
+    assert plan(Plain) == (True, ())
+    assert plan(Slotted) == (False, ("a", "b"))
+    assert plan(Named) == "deepcopy"
+    assert_same_graph(node, out, copy.deepcopy(node))

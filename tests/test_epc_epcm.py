@@ -139,3 +139,22 @@ class TestEpcmChecks:
 
     def test_default_entry_invalid(self):
         assert not EpcmEntry().valid
+
+    def test_never_used_frame_reads_invalid(self):
+        # Entries are created on first use: a frame no instruction has
+        # touched reads as a fresh, invalid entry, and checking it
+        # creates nothing.
+        epcm = Epcm(4)
+        with pytest.raises(EpcmViolation, match="pfn 3: EPCM entry invalid"):
+            epcm.check_access(3, 1, 0x1000, AccessType.READ)
+        assert len(epcm._entries) == 0
+        assert not epcm.entry(3).valid
+        assert len(epcm._entries) == 1
+
+    @pytest.mark.parametrize("pfn", (-1, 4, 1_000))
+    def test_pfn_outside_the_epc_raises(self, pfn):
+        epcm = Epcm(4)
+        with pytest.raises(IndexError):
+            epcm.entry(pfn)
+        with pytest.raises(IndexError):
+            epcm.check_access(pfn, 1, 0x1000, AccessType.READ)
