@@ -102,9 +102,9 @@ class UthashTable:
         engine's :meth:`make_run` and replayed as one batch; per-node
         compute is charged in bulk (cycle totals are order-independent,
         and the access order — bucket page, then chain pages in
-        position order — is unchanged).
+        position order — is unchanged).  An item outside the table
+        raises ``KeyError`` before the lookup has any effect.
         """
-        self.lookups += 1
         trace = self._trace_cache.get(item)
         if trace is None:
             if not 0 <= item < self.n_items:
@@ -128,6 +128,7 @@ class UthashTable:
             # repro: allow[leakage] in-enclave memo keyed by the item;
             # the OS-visible trace is the page run above
             self._trace_cache[item] = trace
+        self.lookups += 1
         self.engine.replay(trace)
         return item
 

@@ -25,7 +25,7 @@ from repro.runtime.policies import (
     RateLimitPolicy,
 )
 from repro.runtime.rate_limit import RateLimiter
-from repro.sgx.columnar import PageRun, ReplayFrontend
+from repro.sgx.columnar import END_OF_KEYS, PageRun, ReplayFrontend
 from repro.sgx.params import PAGE_SIZE, AccessType
 
 
@@ -81,6 +81,9 @@ class DirectEngine:
     :meth:`replay`; on the columnar tier both are rebound to the batch
     interpreter (:mod:`repro.sgx.columnar`), on every other tier they
     fall back to the plain batched path — same observables either way.
+    A request server hands its key stream to :meth:`serve_window`,
+    which on the columnar tier settles each run of requests that are
+    steady-state replays in one bulk step.
     """
 
     def __init__(self, runtime):
@@ -98,10 +101,11 @@ class DirectEngine:
         """Rebind the trace API to the columnar frontend when the
         machine was built with the columnar tier."""
         if kernel.cpu.columnar is not None:
+            frontend = ReplayFrontend(kernel, self._enclave, self._tcs)
             self.make_run = PageRun
-            self.replay = ReplayFrontend(
-                kernel, self._enclave, self._tcs
-            ).replay
+            self.replay = frontend.replay
+            self._replay_settled = frontend.replay_settled
+            self.serve_window = self._serve_settled
 
     def make_run(self, vaddrs):
         """Plan a repeating page trace for :meth:`replay`.  Off the
@@ -115,6 +119,34 @@ class DirectEngine:
         run, cycles = trace
         self.data_access_run(run)
         self._charge(cycles, Category.COMPUTE)
+
+    def serve_window(self, keys, traces, request_cycles, kind):
+        """Serve the requests at the head of the iterator ``keys`` that
+        can be settled in bulk, and return ``(served, key)``: how many
+        were served and the next key, which the caller serves on its
+        own (:data:`~repro.sgx.columnar.END_OF_KEYS` when ``keys`` ran
+        out).
+
+        Serving one request means, exactly, ``progress(kind)``, then
+        ``compute(request_cycles)``, then :meth:`replay` of its cached
+        trace in ``traces``.  This engine settles nothing in bulk off
+        the columnar tier, so it only hands back the first key.
+        """
+        return 0, next(keys, END_OF_KEYS)
+
+    def _serve_settled(self, keys, traces, request_cycles, kind):
+        """:meth:`serve_window` on the columnar tier: the frontend
+        settles the window's hits, then their progress events reach
+        the policy as one counted event.  A recovery manager journals
+        every progress event as a sealed record that may crash the
+        enclave mid-window, so while one is attached progress is not
+        pure bookkeeping and every request is served on its own."""
+        if self.runtime.recovery is not None:
+            return 0, next(keys, END_OF_KEYS)
+        served, key = self._replay_settled(keys, traces, request_cycles)
+        if served:
+            self.runtime.progress(kind, served)
+        return served, key
 
     def data_access(self, vaddr, write=False):
         self.runtime.access(
@@ -158,7 +190,8 @@ class OramEngine(DirectEngine):
     def _bind_fastpath(self, kernel):
         """ORAM data accesses never touch the MMU, so the columnar
         interpreter does not apply; traces replay per-address through
-        the ORAM (the generic :meth:`DirectEngine.replay`)."""
+        the ORAM (the generic :meth:`DirectEngine.replay`) and
+        :meth:`DirectEngine.serve_window` settles nothing in bulk."""
 
     def data_access(self, vaddr, write=False):
         self.oram_policy.access(vaddr, write=write)

@@ -339,12 +339,23 @@ class GrapheneRuntime:
         """Application work between memory accesses."""
         self.kernel.clock.charge(cycles, Category.COMPUTE)
 
-    def progress(self, kind):
-        """Forward-progress event observed by the libOS (I/O, alloc, …)."""
+    def progress(self, kind, count=1):
+        """``count`` (≥ 1) forward-progress events observed by the libOS
+        (I/O, alloc, …), with the effect of ``count`` single events.
+
+        The policy takes them as one counted event.  A recovery manager
+        journals each event as its own sealed record, which may crash
+        the enclave (``crash_after``), so with one attached the events
+        are delivered one at a time."""
+        recovery = self.recovery
+        if recovery is not None and count > 1:
+            for _ in range(count):
+                self.progress(kind)
+            return
         if self.policy is not None:
-            self.policy.on_progress(kind)
-        if self.recovery is not None:
-            self.recovery.note_progress(kind)
+            self.policy.on_progress(kind, count)
+        if recovery is not None:
+            recovery.note_progress(kind)
 
     def call(self, fn, *args, **kwargs):
         """Model an ECALL: EENTER, run ``fn`` inside, EEXIT."""

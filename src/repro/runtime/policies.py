@@ -39,8 +39,9 @@ class SecurePagingPolicy:
         """Resolve a fault on an enclave-managed page or raise."""
         raise NotImplementedError
 
-    def on_progress(self, kind):
-        """Forward-progress notification from the libOS (rate limiting)."""
+    def on_progress(self, kind, count=1):
+        """``count`` forward-progress events from the libOS (rate
+        limiting)."""
 
     def _check_not_resident(self, vaddr):
         """The universal attack check: a fault on a page we believe is
@@ -152,5 +153,5 @@ class RateLimitPolicy(SecurePagingPolicy):
         fetched = self.pager.fetch_unit(pages)
         self.pages_fetched += len(fetched)
 
-    def on_progress(self, kind):
-        self.limiter.note_progress(kind)
+    def on_progress(self, kind, count=1):
+        self.limiter.note_progress(kind, count)

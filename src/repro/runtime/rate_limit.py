@@ -52,11 +52,12 @@ class RateLimiter:
         self.progress_events = 0
         self.tripped = False
 
-    def note_progress(self, kind=ProgressKind.SYSCALL):
-        """A forward-progress event: opens a fresh fault window."""
+    def note_progress(self, kind=ProgressKind.SYSCALL, count=1):
+        """``count`` (≥ 1) forward-progress events: they open a fresh
+        fault window, exactly as ``count`` single events would."""
         if self.kinds is not None and kind not in self.kinds:
             return
-        self.progress_events += 1
+        self.progress_events += count
         self.window_faults = 0
 
     def note_fault(self):

@@ -263,6 +263,12 @@ class ColumnarEngine:
         return column
 
 
+#: What :meth:`ReplayFrontend.replay_settled` (and every engine's
+#: ``serve_window``) returns in place of a key once the key stream has
+#: run out.  A private object, so no key can be mistaken for it.
+END_OF_KEYS = object()
+
+
 class ReplayFrontend:
     """The engine-side executor for cached ``(run, cycles)`` traces.
 
@@ -271,7 +277,8 @@ class ReplayFrontend:
     steady-state path — live enclave, stamp match — is deliberately
     call-free except for the bulk compute charge; everything else
     drops to :meth:`_slow`, which compiles or replays sequentially
-    with per-address semantics.
+    with per-address semantics.  :meth:`replay_settled` settles a
+    whole window of such steady-state replays at once.
     """
 
     __slots__ = ("_enclave", "_tcs", "_cpu", "_epoch", "_tlb",
@@ -300,6 +307,50 @@ class ReplayFrontend:
         else:
             self._slow(run)
         self._charge(cycles)
+
+    # repro: hot
+    def replay_settled(self, keys, traces, request_cycles):
+        """Replay the settled hits at the head of ``keys`` in bulk.
+
+        A *settled hit* is a key whose trace ``traces`` already caches
+        and whose read run is stamped with the current epoch, on a live
+        enclave: ``compute(request_cycles)`` then :meth:`replay` would
+        make it ``run.n`` TLB hits and two compute charges, and nothing
+        that can fault, bump the epoch or raise.  So nothing a settled
+        hit does can unsettle the next one, and the whole prefix
+        settles as one ``tlb.hits`` add and one charge of the same
+        total.
+
+        Walks the iterator ``keys`` up to the first key that is not a
+        settled hit and returns ``(served, key)``: the number of hits
+        settled and that key, which the walk consumed (or
+        :data:`END_OF_KEYS` when ``keys`` ran out).  Raises nothing of
+        its own (only what iterating ``keys`` or hashing a key raises);
+        when ``served`` is 0 nothing changed.  A dead enclave settles
+        nothing, so its first request takes the caller's per-request
+        path and raises there.
+        """
+        if self._enclave.dead:
+            return 0, next(keys, END_OF_KEYS)
+        stamp = self._epoch.value
+        lookup = traces.get
+        served = hits = cycles = 0
+        for key in keys:
+            trace = lookup(key)
+            if trace is None:
+                break
+            run, item_cycles = trace
+            if run._stamp_r != stamp:
+                break
+            served += 1
+            hits += run.n
+            cycles += item_cycles
+        else:
+            key = END_OF_KEYS
+        if served:
+            self._tlb.hits += hits
+            self._charge(served * request_cycles + cycles)
+        return served, key
 
     def _slow(self, run):
         """Stamp miss: recompile, or fall back to the sequential run

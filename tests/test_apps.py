@@ -7,6 +7,7 @@ from repro.apps.hunspell import Dictionary, Hunspell, stable_hash
 from repro.apps.jpeg import BlockImage, JpegCodec, make_block_image
 from repro.apps.memcached import Memcached
 from repro.apps.uthash import UthashTable
+from repro.sgx.columnar import END_OF_KEYS
 from repro.sgx.params import PAGE_SIZE
 
 HEAP = 0x6000_0000
@@ -44,6 +45,9 @@ class RecordingEngine:
 
     def progress(self, kind):
         self.progress_events += 1
+
+    def serve_window(self, keys, traces, request_cycles, kind):
+        return 0, next(keys, END_OF_KEYS)
 
 
 class FakeLib:
@@ -86,6 +90,18 @@ class TestUthash:
         table = self._table()
         with pytest.raises(KeyError):
             table.lookup(table.n_items)
+
+    def test_rejected_lookup_has_no_effect(self):
+        table = self._table()
+        table.lookup(5)
+        lookups, cycles = table.lookups, table.engine.cycles
+        data = list(table.engine.data)
+        for item in (table.n_items, -1):
+            with pytest.raises(KeyError):
+                table.lookup(item)
+        assert table.lookups == lookups == 1
+        assert table.engine.cycles == cycles
+        assert table.engine.data == data
 
     def test_insert_ends_with_item_write(self):
         table = self._table()
@@ -144,6 +160,38 @@ class TestMemcached:
         server = self._server()
         with pytest.raises(KeyError):
             server.get(server.n_keys)
+
+    def test_rejected_get_has_no_effect(self):
+        server = self._server()
+        server.get(17)
+        gets, cycles = server.gets, server.engine.cycles
+        data = list(server.engine.data)
+        for key in (server.n_keys, -1):
+            with pytest.raises(KeyError):
+                server.get(key)
+        assert server.gets == gets == 1
+        assert server.engine.cycles == cycles
+        assert server.engine.data == data
+
+    def test_rejected_get_in_stream_counts_its_progress_only(self):
+        """The reference ``serve`` loop reports progress before each
+        GET, so the rejected request's event stands; its GET has no
+        effect, and the requests before it are served."""
+        server = self._server()
+        with pytest.raises(KeyError):
+            server.serve([1, 2, server.n_keys, 3])
+        assert server.engine.progress_events == 3
+        assert server.gets == 2
+        assert server.engine.cycles == 2 * (
+            server.REQUEST_COMPUTE + server.ITEM_COMPUTE
+        )
+
+    def test_serve_accepts_any_iterable(self):
+        server = self._server()
+        server.serve(k for k in (4, 5, 4))
+        server.serve(())
+        assert server.gets == 3
+        assert server.engine.progress_events == 3
 
 
 class TestJpeg:
