@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan
-from repro.core.config import SystemConfig
+from repro.core.config import small_config
 from repro.core.digest import canonical_digest
 from repro.core.invariants import (
     dead_enclave,
@@ -39,20 +39,19 @@ from repro.core.invariants import (
     masked_faults,
 )
 from repro.core.metrics import AbortStats
-from repro.core.system import AutarkySystem
 from repro.errors import (
-    AbortReason,
-    EnclaveCrashed,
     EnclaveTerminated,
-    IntegrityError,
     PolicyError,
     SgxError,
+    abort_reason,
 )
+from repro.host import adversary
+from repro.recovery.journal import Journal
 from repro.recovery.manager import RecoveryManager
-from repro.recovery.program import EnclaveProgram
-from repro.recovery.state import fingerprint as state_fingerprint
+from repro.recovery.program import HeapWarmup
+from repro.recovery.scripted import ScriptedEnclave
 from repro.runtime.rate_limit import ProgressKind
-from repro.sgx.params import PAGE_SIZE, SgxVersion
+from repro.sgx.params import PAGE_SIZE
 
 #: Operations per run — long enough for every scheduled event to land
 #: and its consequences to surface, short enough for CI smoke sweeps.
@@ -142,61 +141,29 @@ class CampaignResult:
         return dict(sorted(counts.items()))
 
 
-def _system_config(policy_name):
-    """Small, paging-heavy systems so every fault plan has teeth."""
-    common = dict(
-        epc_pages=1024,
-        quota_pages=128,
-        runtime_pages=8,
-        code_pages=16,
-        data_pages=16,
-        heap_pages=256,
-    )
-    if policy_name == "pin_all":
-        return SystemConfig.for_policy(
-            "pin_all", enclave_managed_budget=120, **common
-        )
-    if policy_name == "clusters":
-        return SystemConfig.for_policy(
-            "clusters", cluster_pages=8, enclave_managed_budget=64,
-            **common
-        )
-    if policy_name == "rate_limit":
-        return SystemConfig.for_policy(
-            "rate_limit", max_faults_per_progress=64, grace_faults=512,
-            enclave_managed_budget=64, **common
-        )
-    if policy_name == "rate_limit_sgx2":
-        return SystemConfig.for_policy(
-            "rate_limit", max_faults_per_progress=64, grace_faults=512,
-            enclave_managed_budget=64, sgx_version=SgxVersion.SGX2,
-            **common
-        )
-    raise PolicyError(f"chaos campaign does not cover {policy_name!r}")
-
-
 #: Heap pages the pin-all workload warms (and seals) / the others churn.
 _PIN_ALL_POOL = 48
 _CHURN_POOL = 160
 
-
-def _prepare_workload(system, policy_name):
-    """Warm the system and return (engine, page pool to churn over)."""
-    engine = system.engine()
-    heap = system.runtime.regions["heap"]
-    if policy_name == "pin_all":
-        pool = [heap.start + i * PAGE_SIZE for i in range(_PIN_ALL_POOL)]
-        for vaddr in pool:
-            engine.data_access(vaddr)
-        system.policy.seal()
-    elif policy_name == "clusters":
-        pool = system.runtime.allocator.alloc_pages(_CHURN_POOL)
-    else:
-        pool = [heap.start + i * PAGE_SIZE for i in range(_CHURN_POOL)]
-    return engine, pool
+#: Journal tears by crash kind (a plain crash leaves the journal whole).
+_TEARS = {
+    FaultKind.JOURNAL_TORN_TAIL: Journal.truncate_tail,
+    FaultKind.JOURNAL_CORRUPT_TAIL: Journal.corrupt_tail,
+}
 
 
-class _ChaosRun:
+def check_plan(plan):
+    """Reject an event the campaign's clock can never fire: one outside
+    the run's operations, or one with no magnitude."""
+    for event in plan.events:
+        if not 0 <= event.at_op < N_OPS:
+            raise ValueError(f"{event.describe()}: at_op is outside the "
+                             f"run's operations 0..{N_OPS - 1}")
+        if event.param < 1:
+            raise ValueError(f"{event.describe()}: param must be >= 1")
+
+
+class _ChaosRun(ScriptedEnclave):
     """One seeded run of one policy under one fault plan."""
 
     def __init__(self, seed, policy_name, exclude=(), plan=None):
@@ -206,47 +173,28 @@ class _ChaosRun:
         #: regression) replaces the seed-generated one verbatim.
         self.plan = (plan if plan is not None
                      else FaultPlan.generate(seed, N_OPS, exclude=exclude))
-        config = _system_config(policy_name)
-        self.system = AutarkySystem(config)
-        self.kernel = self.system.kernel
-        self.enclave = self.system.enclave
-        self.runtime = self.system.runtime
-        #: The relaunch recipe recovery uses after a scripted crash: the
-        #: same config on the same kernel, with the campaign's warm-up.
-        self.program = EnclaveProgram(
-            config=config, warmup=self._recovery_warmup,
-            name=f"chaos-{policy_name}-{seed}",
-        )
+        check_plan(self.plan)
+        pages = _PIN_ALL_POOL if policy_name == "pin_all" else _CHURN_POOL
+        super().__init__(small_config(policy_name),
+                         HeapWarmup(policy_name, pages),
+                         f"chaos-{policy_name}-{seed}")
+        heap = self.runtime.regions["heap"]
+        #: The heap pages the workload churns over.
+        self.pool = [heap.start + i * PAGE_SIZE for i in range(pages)]
         self.injector = FaultInjector(
             self.plan, self.kernel, self.enclave
         ).install()
         # Workload randomness is decoupled from plan randomness so the
         # same plan hits an identical access stream on every policy.
         self.rng = random.Random((seed << 16) ^ 0xC7A05)
-        self.violations = []
         self.ops_done = 0
-        self.recoveries = 0
-        self.engine = None
-        self.manager = None
+        self.event = None
         self._quota_restores = {}
-
-    def _recovery_warmup(self, runtime):
-        """Reproduce :func:`_prepare_workload`'s bootstrap on a
-        relaunched runtime (the base-checkpoint fingerprint depends on
-        it being bit-identical)."""
-        heap = runtime.regions["heap"]
-        if self.policy_name == "pin_all":
-            for i in range(_PIN_ALL_POOL):
-                runtime.access(heap.start + i * PAGE_SIZE)
-            runtime.policy.seal()
-        elif self.policy_name == "clusters":
-            runtime.allocator.alloc_pages(_CHURN_POOL)
 
     # -- driving -----------------------------------------------------------
 
     def execute(self):
-        self.engine, pool = _prepare_workload(self.system,
-                                              self.policy_name)
+        self.warm_up()
         self.manager = RecoveryManager(
             self.runtime,
             auto_checkpoint_every=CHECKPOINT_EVERY,
@@ -264,27 +212,19 @@ class _ChaosRun:
                 self.injector.advance_to_op(i)
                 self._release_quota(i)
                 for event in op_events.get(i, ()):
-                    self._apply(event, self.engine)
-                vaddr = self.rng.choice(pool)
+                    self._apply(event)
+                vaddr = self.rng.choice(self.pool)
                 self.engine.data_access(vaddr,
                                         write=self.rng.random() < 0.25)
                 self.engine.compute(1_000)
                 if i % 8 == 7:
                     self.engine.progress(ProgressKind.SYSCALL)
                 self.ops_done += 1
-        except EnclaveTerminated as exc:
-            outcome = OUTCOME_ABORTED
-            reason = exc.reason.value if exc.reason else "unclassified"
-        except IntegrityError:
-            # Host-side rejection (e.g. ELDU during a tampered resume):
-            # the enclave never ran on the bad state.
-            outcome = OUTCOME_ABORTED
-            reason = AbortReason.INTEGRITY.value
-        except (SgxError, PolicyError) as exc:
-            # Fail-stop but without a structured reason — safe, yet
-            # worth seeing in reports as its own bucket.
-            outcome = OUTCOME_ABORTED
-            reason = f"unclassified({type(exc).__name__})"
+        except (EnclaveTerminated, SgxError, PolicyError) as exc:
+            # A structured abort, or a host-side rejection such as ELDU
+            # refusing a forged blob during a resume: fail-stop either
+            # way, the enclave never ran on the bad state.
+            outcome, reason = OUTCOME_ABORTED, abort_reason(exc)
         finally:
             self.injector.uninstall()
         if outcome == OUTCOME_COMPLETED and self._absorbed_faults():
@@ -307,89 +247,68 @@ class _ChaosRun:
 
     # -- op-level fault application ---------------------------------------
 
-    def _apply(self, event, engine):
+    def record(self, detail):
+        self.injector.record_op_event(self.event, detail)
+
+    def _skip(self, why):
+        self.injector.record_skipped(self.event, why)
+
+    def _apply(self, event):
+        self.event = event
         kind = event.kind
+        heap = self.runtime.regions["heap"]
         if kind is FaultKind.QUOTA_SQUEEZE:
             self._squeeze_quota(event)
         elif kind is FaultKind.BALLOON_REQUEST:
             freed = self.kernel.request_memory_reduction(
                 self.enclave, event.param
             )
-            self.injector.record_op_event(
-                event, f"requested {event.param}, freed {freed}"
-            )
-        elif kind is FaultKind.TAMPER_BACKING:
-            self._tamper_and_probe(event, engine, replay=False)
-        elif kind is FaultKind.REPLAY_STALE:
-            self._tamper_and_probe(event, engine, replay=True)
+            self.record(f"requested {event.param}, freed {freed}")
+        elif kind in (FaultKind.TAMPER_BACKING, FaultKind.REPLAY_STALE):
+            replay = kind is FaultKind.REPLAY_STALE
+            backing = self.kernel.backing
+            targets = adversary.swapped_out(
+                self.kernel, self.enclave, backing, heap, stale=replay)
+            if not targets:
+                self._skip("no swapped-out heap page to attack")
+                return
+            self.tamper(backing, self.rng.choice(targets), replay)
         elif kind is FaultKind.AEX_STORM:
-            self._aex_storm(event)
+            adversary.aex_storm(self.kernel, self.enclave, self.runtime.tcs,
+                                event.param)
+            self.record(f"{event.param} interrupt round trips")
         elif kind is FaultKind.SPURIOUS_EENTER:
-            self.injector.record_op_event(event, "EENTER out of protocol")
+            self.record("EENTER out of protocol")
             self.kernel.cpu.eenter(self.enclave, self.runtime.tcs)
             self.violations.append(
                 "spurious EENTER was dispatched instead of rejected"
             )
         elif kind is FaultKind.SUSPEND_RESUME:
             self.kernel.driver.suspend_enclave(self.enclave)
-            restored = self.kernel.driver.resume_enclave(self.enclave)
-            self.injector.record_op_event(
-                event, f"suspended and restored {len(restored)} pages"
-            )
+            self.kernel.driver.resume_enclave(self.enclave)
+            self.record("suspended and restored")
         elif kind is FaultKind.SUSPEND_TAMPER:
-            self._suspend_tamper(event)
-        elif kind is FaultKind.UNMAP_RESIDENT:
-            self._clobber_and_probe(event, engine, clear_ad=False)
-        elif kind is FaultKind.AD_CLEAR:
-            self._clobber_and_probe(event, engine, clear_ad=True)
+            self._suspend_tamper(heap)
+        elif kind in (FaultKind.UNMAP_RESIDENT, FaultKind.AD_CLEAR):
+            resident = [v for v in self.runtime.pager.resident_pages()
+                        if heap.contains(v)]
+            if not resident:
+                self._skip("no resident heap page")
+                return
+            self.clobber(self.rng.choice(resident),
+                         clear_ad=kind is FaultKind.AD_CLEAR)
         elif kind in CRASH_KINDS:
-            self._crash_and_recover(event)
+            if kind is not FaultKind.CRASH_ENCLAVE and \
+                    not self.manager.journal:
+                self._skip("no journal tail to tear")
+                return
+            self.crash_and_restore(_TEARS.get(kind))
         else:
             raise PolicyError(f"unhandled op-level fault {kind}")
 
-    def _crash_and_recover(self, event):
-        """The host kills the enclave (optionally tearing the tail
-        journal record); the supervisor path restores it on the same
-        kernel and the restored state is verified against the witness
-        trace before the workload resumes."""
-        kind = event.kind
-        if kind is not FaultKind.CRASH_ENCLAVE and not self.manager.journal:
-            self.injector.record_skipped(event, "no journal tail to tear")
-            return
-        try:
-            self.manager.crash()
-        except EnclaveCrashed:
-            pass  # we *are* the host script that killed it
-        detail = "host killed the enclave"
-        if kind is FaultKind.JOURNAL_TORN_TAIL:
-            self.manager.journal.truncate_tail()
-            detail += ", tail journal record lost"
-        elif kind is FaultKind.JOURNAL_CORRUPT_TAIL:
-            self.manager.journal.corrupt_tail()
-            detail += ", tail journal record torn"
-        self.injector.record_op_event(event, detail)
-        # Supervisor-style restore: reclaim the corpse, relaunch the
-        # program, replay the sealed journal onto the fresh incarnation.
-        self.kernel.driver.reclaim_enclave(self.enclave)
-        runtime = self.program.launch(self.kernel)
-        applied = self.manager.restore(runtime)
-        if self.manager.keep_trace and (
-                state_fingerprint(runtime) != self.manager.trace[applied]):
-            self.violations.append(
-                f"recovered state diverged from the uncrashed witness "
-                f"at journal position {applied}"
-            )
-        self._adopt(runtime)
-        self.recoveries += 1
-
-    def _adopt(self, runtime):
-        """Point every per-run handle at the restored incarnation."""
-        self.runtime = runtime
-        self.enclave = runtime.enclave
-        self.system.runtime = runtime
-        self.system.policy = runtime.policy
+    def adopt(self, runtime):
+        super().adopt(runtime)
         self.injector.enclave = runtime.enclave
-        self.engine = self.program.engine(runtime)
         # Pending quota restores belonged to the dead incarnation; the
         # relaunch starts from the full configured quota.
         self._quota_restores.clear()
@@ -398,116 +317,37 @@ class _ChaosRun:
         state = self.kernel.driver.state(self.enclave)
         cut = min(event.param, max(0, state.quota_pages - QUOTA_FLOOR))
         if cut <= 0:
-            self.injector.record_skipped(event, "quota already minimal")
+            self._skip("quota already minimal")
             return
         state.quota_pages -= cut
         restore_at = min(N_OPS - 1, event.at_op + QUOTA_RESTORE_AFTER)
         self._quota_restores[restore_at] = (
             self._quota_restores.get(restore_at, 0) + cut
         )
-        self.injector.record_op_event(
-            event, f"quota cut by {cut} to {state.quota_pages}"
-        )
+        self.record(f"quota cut by {cut} to {state.quota_pages}")
 
     def _release_quota(self, op_index):
         back = self._quota_restores.pop(op_index, 0)
         if back:
             self.kernel.driver.state(self.enclave).quota_pages += back
 
-    def _tamper_and_probe(self, event, engine, replay):
-        backing = self.kernel.backing
-        eid = self.enclave.enclave_id
-        heap = self.runtime.regions["heap"]
-        swapped = [
-            v for v in backing.swapped_pages(eid)
-            if heap.contains(v)
-            and not self.kernel.driver.resident(self.enclave, v)
-        ]
-        if replay:
-            stale = set(backing.stale_pages(eid))
-            swapped = [v for v in swapped if v in stale]
-        if not swapped:
-            self.injector.record_skipped(
-                event, "no swapped-out heap page to attack"
-            )
-            return
-        target = self.rng.choice(swapped)
-        if replay:
-            backing.replay(eid, target)
-            detail = f"replayed stale blob at {target:#x}"
-        else:
-            backing.forge(eid, target, "forged-by-chaos")
-            detail = f"forged blob at {target:#x}"
-        self.injector.record_op_event(event, detail)
-        # The probe: touch the page so the hostile blob gets loaded.
-        # Anything but an integrity abort is an invariant violation.
-        engine.data_access(target)
-        self.violations.append(
-            f"enclave resumed on {'replayed' if replay else 'tampered'} "
-            f"page {target:#x} without aborting"
-        )
-
-    def _aex_storm(self, event):
-        cpu, tcs = self.kernel.cpu, self.runtime.tcs
-        for _ in range(event.param):
-            cpu.interrupt(self.enclave, tcs)
-            cpu.resume_from_interrupt(self.enclave, tcs)
-        self.injector.record_op_event(
-            event, f"{event.param} interrupt round trips"
-        )
-
-    def _suspend_tamper(self, event):
-        driver = self.kernel.driver
-        eid = self.enclave.enclave_id
-        driver.suspend_enclave(self.enclave)
-        heap = self.runtime.regions["heap"]
-        # Only pages evicted by this suspend are guaranteed to be
-        # reloaded by the resume — forging anything else just leaves a
-        # tainted blob for a later fetch to trip over.
-        suspend_set = driver.state(self.enclave).suspend_set
-        targets = [v for v in sorted(suspend_set) if heap.contains(v)]
+    def _suspend_tamper(self, heap):
+        """Suspend, forge one heap page of the suspend set, resume: ELDU
+        must reject the forged page during the restore.  Only pages
+        evicted by this suspend are sure to be reloaded by the resume —
+        forging anything else just leaves a tainted blob for a later
+        fetch to trip over."""
+        self.kernel.driver.suspend_enclave(self.enclave)
+        targets = adversary.suspended_pages(self.kernel, self.enclave, heap)
         if not targets:
-            driver.resume_enclave(self.enclave)
-            self.injector.record_skipped(event, "nothing swapped to forge")
+            self.kernel.driver.resume_enclave(self.enclave)
+            self._skip("nothing swapped to forge")
             return
-        target = self.rng.choice(targets)
-        self.kernel.backing.forge(eid, target, "forged-by-chaos")
-        self.injector.record_op_event(
-            event, f"suspended, forged {target:#x}, resuming"
-        )
-        # ELDU must reject the forged page during restore; a resume
-        # that succeeds put tampered bytes into EPC.
-        driver.resume_enclave(self.enclave)
-        self.violations.append(
-            f"resume restored forged page {target:#x} without rejection"
-        )
-
-    def _clobber_and_probe(self, event, engine, clear_ad):
-        heap = self.runtime.regions["heap"]
-        resident = [
-            v for v in self.runtime.pager.resident_pages()
-            if heap.contains(v)
-        ]
-        if not resident:
-            self.injector.record_skipped(event, "no resident heap page")
-            return
-        target = self.rng.choice(resident)
-        if clear_ad:
-            self.kernel.page_table.set_accessed_dirty(
-                target, accessed=False, dirty=False
-            )
-            detail = f"cleared A/D of resident {target:#x}"
-        else:
-            self.kernel.page_table.drop(target)
-            detail = f"unmapped resident {target:#x}"
-        self.injector.record_op_event(event, detail)
-        # The enclave believes the page is resident: the fault this
-        # touch produces must be diagnosed as an attack.
-        engine.data_access(target)
-        self.violations.append(
-            f"OS-induced fault on resident page {target:#x} was "
-            f"serviced instead of detected"
-        )
+        adversary.tamper(self.kernel.backing, self.enclave,
+                         self.rng.choice(targets))
+        self.record("suspended, forged a suspend-set blob, resuming")
+        self.violations += adversary.resume(self.kernel, self.enclave,
+                                            forged=True)
 
     # -- invariants and reporting ------------------------------------------
 

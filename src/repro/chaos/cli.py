@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
-from repro.chaos.campaign import DEFAULT_POLICIES, run_campaign, run_plan
+from repro.chaos.campaign import (
+    DEFAULT_POLICIES,
+    check_plan,
+    run_campaign,
+    run_plan,
+)
 from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan
 
 #: A sweep must fire at least this many distinct fault kinds, or the
@@ -98,16 +104,22 @@ def _replay_plan(args, policies):
     """Replay one serialized plan; exit 0 iff every run was safe and —
     when the file carries an ``expected_outcome`` — the outcome class
     matched it."""
-    with open(args.plan, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    expected = None
-    if "plan" in payload:  # model-checker witness wrapper
-        if payload.get("policy"):
-            policies = (payload["policy"],)
-        expected = payload.get("expected_outcome")
-        plan = FaultPlan.from_json(payload["plan"])
-    else:
-        plan = FaultPlan.from_json(payload)
+    try:
+        with open(args.plan, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        expected = None
+        if "plan" in payload:  # model-checker witness wrapper
+            if payload.get("policy"):
+                policies = (payload["policy"],)
+            expected = payload.get("expected_outcome")
+            plan = FaultPlan.from_json(payload["plan"])
+        else:
+            plan = FaultPlan.from_json(payload)
+        check_plan(plan)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"repro chaos: cannot replay {args.plan}: {exc}",
+              file=sys.stderr)
+        return 2
     ok = True
     runs = []
     for policy in policies:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import PolicyError
 from repro.sgx.columnar import TIER_COLUMNAR, normalize_tier
 from repro.sgx.params import (
     DEFAULT_EPC_PAGES,
@@ -105,3 +106,37 @@ class SystemConfig:
         return SystemConfig(
             policy=PolicyConfig(name=name, **policy_kwargs), **kwargs
         )
+
+
+def small_config(policy_name, epc_pages=1_024, quota_pages=128):
+    """A small, paging-heavy system, so every hostile act has teeth: the
+    chaos campaign runs it as is, and each service tenant over its
+    share of the EPC and its own quota.  ``rate_limit_sgx2`` is rate
+    limiting over the SGX2 paging ops."""
+    common = dict(
+        epc_pages=epc_pages,
+        quota_pages=quota_pages,
+        runtime_pages=8,
+        code_pages=16,
+        data_pages=16,
+        heap_pages=256,
+    )
+    if policy_name == "pin_all":
+        return SystemConfig.for_policy(
+            "pin_all", enclave_managed_budget=min(120, quota_pages - 8),
+            **common
+        )
+    if policy_name == "clusters":
+        return SystemConfig.for_policy(
+            "clusters", cluster_pages=8, enclave_managed_budget=64,
+            **common
+        )
+    if policy_name in ("rate_limit", "rate_limit_sgx2"):
+        sgx2 = policy_name == "rate_limit_sgx2"
+        return SystemConfig.for_policy(
+            "rate_limit", max_faults_per_progress=64, grace_faults=512,
+            enclave_managed_budget=64,
+            sgx_version=SgxVersion.SGX2 if sgx2 else SgxVersion.SGX1,
+            **common
+        )
+    raise PolicyError(f"no small sizing for policy {policy_name!r}")

@@ -170,3 +170,16 @@ class IntegrityAbort(EnclaveTerminated, IntegrityError):
     never continue past a tampered or replayed page."""
 
     default_reason = AbortReason.INTEGRITY
+
+
+def abort_reason(exc):
+    """The reason key a fail-stop is reported under: the structured
+    :class:`AbortReason` an abort carries, ``integrity`` for a
+    host-side integrity rejection (ELDU refused a forged blob, so the
+    enclave never ran on it), else "unclassified" with the exception
+    type."""
+    if isinstance(exc, EnclaveTerminated) and exc.reason:
+        return exc.reason.value
+    if isinstance(exc, IntegrityError):
+        return AbortReason.INTEGRITY.value
+    return f"unclassified({type(exc).__name__})"

@@ -1,9 +1,10 @@
 """Untrusted backing store for evicted enclave pages.
 
-Holds the sealed blobs EWB produces (or the runtime's own SGX2-sealed
-pages).  Being untrusted memory, the store exposes tampering primitives
-used by the security tests: the crypto layer, not the store, is what
-keeps the enclave safe.
+The kernel's store holds the sealed blobs EWB produces; an SGX2
+runtime keeps one of its own for the pages it seals in-enclave.  Being
+untrusted memory, a store exposes tampering primitives, which the
+host's acts (:mod:`repro.host.adversary`) use: the crypto layer, not
+the store, is what keeps the enclave safe.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class BackingStore:
         self._pages[key] = sealed
         self.tainted.add(key)
 
-    def forge(self, enclave_id, vaddr, mac):
+    def forge(self, enclave_id, vaddr, mac="forged"):
         """Substitute the stored blob with a copy carrying a forged
         ``mac``; reloading it must fail integrity verification."""
         blob = self._pages[(enclave_id, vaddr)]

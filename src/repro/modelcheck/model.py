@@ -8,13 +8,15 @@ checker explores the tree of *host action* interleavings over such
 worlds; every action drives the same runtime code paths the chaos
 campaign and the experiments use — the model is the implementation.
 
-Actions mirror :mod:`repro.chaos.campaign`'s fault applications but are
-fully deterministic (targets are chosen by lowest address, never by
-RNG) so that a state is a pure function of its action trace.  The four
-safe outcome classes are the campaign's: ``completed`` (still running,
-nothing absorbed), ``degraded`` (hardening absorbed faults within
-budget), ``aborted`` (structured fail-stop), ``recovered`` (verified
-crash restore).  Anything else is an invariant violation.
+Actions are the host acts of :mod:`repro.host.adversary`, applied
+through :class:`~repro.recovery.scripted.ScriptedEnclave` as the chaos
+campaign applies them, but the model chooses its own targets: the
+lowest address, never an RNG, so that a state is a pure function of
+its action trace.  The four safe outcome classes are the campaign's:
+``completed`` (still running, nothing absorbed), ``degraded``
+(hardening absorbed faults within budget), ``aborted`` (structured
+fail-stop), ``recovered`` (verified crash restore).  Anything else is
+an invariant violation.
 """
 
 from __future__ import annotations
@@ -24,20 +26,20 @@ from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultEvent, FaultKind, FaultPlan
 from repro.core.config import SystemConfig
 from repro.core.digest import canonical_digest
-from repro.core.system import AutarkySystem
 from repro.errors import (
-    AbortReason,
     EnclaveCrashed,
     EnclaveTerminated,
-    IntegrityError,
     PolicyError,
     SgxError,
+    abort_reason,
 )
+from repro.host import adversary
 from repro.modelcheck.copier import clone
+from repro.modelcheck.toys import break_policy
 from repro.recovery.manager import RecoveryManager
-from repro.recovery.program import EnclaveProgram
+from repro.recovery.program import HeapWarmup
+from repro.recovery.scripted import ScriptedEnclave
 from repro.recovery.state import canonical_state
-from repro.recovery.state import fingerprint as state_fingerprint
 from repro.runtime.rate_limit import ProgressKind
 from repro.sgx.params import PAGE_SIZE, SgxVersion
 
@@ -103,51 +105,22 @@ def tiny_config(policy_name):
     raise PolicyError(f"model checker does not cover {policy_name!r}")
 
 
-def _bootstrap(runtime, policy_name):
-    """The deterministic pre-``begin`` warm-up, shared verbatim between
-    first boot and post-crash relaunch (the sealed base checkpoint's
-    fingerprint depends on the two being bit-identical)."""
-    heap = runtime.regions["heap"]
-    if policy_name == "pin_all":
-        for i in range(N_POOL):
-            runtime.access(heap.start + i * PAGE_SIZE)
-        runtime.policy.seal()
-    elif policy_name == "clusters":
-        runtime.allocator.alloc_pages(N_POOL)
-
-
-class World:
+class World(ScriptedEnclave):
     """One explored state: a live tiny system plus model bookkeeping."""
 
     def __init__(self, policy_name):
         self.policy_name = policy_name
-        config = tiny_config(policy_name)
-        self.system = AutarkySystem(config)
-        self.kernel = self.system.kernel
-        self.runtime = self.system.runtime
-        self.enclave = self.system.enclave
-        self.program = EnclaveProgram(
-            config=config,
-            warmup=_Warmup(policy_name),
-            name=f"modelcheck-{policy_name}",
-        )
-        _bootstrap(self.runtime, policy_name)
+        super().__init__(tiny_config(policy_name),
+                         HeapWarmup(policy_name, N_POOL),
+                         f"modelcheck-{policy_name}")
+        self.warm_up()
         if policy_name == "broken":
-            from repro.modelcheck.toys import break_policy
             break_policy(self.runtime)
-        if policy_name == "clusters":
-            heap = self.runtime.regions["heap"]
-            # alloc_pages returned the same deterministic addresses the
-            # relaunch warm-up will produce.
-            self.pool = [heap.start + i * PAGE_SIZE
-                         for i in range(N_POOL)]
-        else:
-            heap = self.runtime.regions["heap"]
-            self.pool = [heap.start + i * PAGE_SIZE
-                         for i in range(N_POOL)]
+        heap = self.runtime.regions["heap"]
+        # The warm-up's cluster allocation covers these same pages.
+        self.pool = [heap.start + i * PAGE_SIZE for i in range(N_POOL)]
         #: One page outside the pool for claim/release round trips.
-        self.spare = heap.start + (config.heap_pages - 1) * PAGE_SIZE
-        self.engine = self.system.engine()
+        self.spare = heap.start + (heap.npages - 1) * PAGE_SIZE
         self.oracle = LifecycleOracle().install(self.kernel)
         self.manager = RecoveryManager(self.runtime, keep_trace=True)
         self.oracle.watch_manager(self.manager)
@@ -156,8 +129,6 @@ class World:
         #: world (terminal states are never expanded).
         self.outcome = OUTCOME_RUNNING
         self.reason = ""
-        self.recoveries = 0
-        self.violations = []
         #: Quota pages taken by squeeze actions, owed back by unsqueeze.
         self.squeezed = 0
         #: Whole-enclave suspension (§5.2.1): while True the enclave
@@ -186,17 +157,22 @@ class World:
                 if self.kernel.driver.resident(self.enclave, v)]
 
     def swapped_pool(self):
-        sealed = getattr(self.runtime.paging_ops, "_sealed", None)
-        if sealed is not None:
-            # SGX2: sealed blobs live in runtime-owned untrusted memory,
-            # not the kernel backing store.
-            swapped = set(sealed)
-        else:
-            swapped = set(self.kernel.backing.swapped_pages(
-                self.enclave.enclave_id))
-        return [v for v in self.pool
-                if v in swapped
-                and not self.kernel.driver.resident(self.enclave, v)]
+        """Pool pages with a forgeable sealed blob: in the kernel's
+        backing store on SGX1, in the runtime's own store on SGX2."""
+        return adversary.swapped_out(self.kernel, self.enclave,
+                                     self.runtime.paging_ops.store,
+                                     self.pool)
+
+    def adopt(self, runtime):
+        super().adopt(runtime)
+        if self.policy_name == "broken":
+            break_policy(runtime)
+        # Pending quota restores belonged to the dead incarnation, and
+        # the relaunched incarnation boots unsuspended (any forged
+        # suspend-set blob died with the old enclave id).
+        self.squeezed = 0
+        self.suspended = False
+        self.suspend_tampered = False
 
     def state_key(self):
         """Canonical identity of this state, for dedup and the
@@ -228,16 +204,6 @@ class World:
             tuple(self.violations),
             tuple(self.oracle.violations),
         ))
-
-
-class _Warmup:
-    """Picklable relaunch warm-up closure for :class:`EnclaveProgram`."""
-
-    def __init__(self, policy_name):
-        self.policy_name = policy_name
-
-    def __call__(self, runtime):
-        _bootstrap(runtime, self.policy_name)
 
 
 # -- the action alphabet ----------------------------------------------------
@@ -300,20 +266,12 @@ def apply_action(world, action):
     other escape is an invariant violation."""
     try:
         _dispatch(world, action)
-    except EnclaveTerminated as exc:
-        world.outcome = OUTCOME_ABORTED
-        world.reason = exc.reason.value if exc.reason else "unclassified"
-    except IntegrityError:
-        # Host-side rejection (ELDU refused a forged blob): the enclave
-        # never ran on the bad state.
-        world.outcome = OUTCOME_ABORTED
-        world.reason = AbortReason.INTEGRITY.value
     except EnclaveCrashed:
         world.violations.append(
             f"{action}: crash escaped the supervisor restore path")
-    except (SgxError, PolicyError) as exc:
+    except (EnclaveTerminated, SgxError, PolicyError) as exc:
         world.outcome = OUTCOME_ABORTED
-        world.reason = f"unclassified({type(exc).__name__})"
+        world.reason = abort_reason(exc)
     _post_checks(world, action)
     return world
 
@@ -348,64 +306,37 @@ def _dispatch(world, action):
         world.squeezed = 0
         return
     if action == "unmap":
-        _unmap_resident(world)
+        world.clobber(min(world.resident_pool()))
         return
     if action == "tamper":
         if world.suspended:
             _tamper_suspend_set(world)
         else:
-            _tamper_backing(world)
+            world.tamper(world.runtime.paging_ops.store,
+                         min(world.swapped_pool()))
         return
     if action == "suspend":
         world.kernel.driver.suspend_enclave(world.enclave)
         world.suspended = True
         return
     if action == "resume":
-        _resume_suspended(world)
+        world.violations += adversary.resume(
+            world.kernel, world.enclave, forged=world.suspend_tampered)
+        # Cleared only once the resume returned: a rejected resume
+        # leaves the world suspended with its forgery.
+        world.suspended = False
+        world.suspend_tampered = False
         return
     if action.startswith("deny:"):
         _deny_fetch(world, int(action.split(":", 1)[1]))
         return
     if action == "crash":
-        _crash_and_recover(world)
+        world.crash_and_restore()
         return
     if action == "rollback":
-        _rollback_attack(world)
+        world.rollback()
         return
     raise PolicyError(f"unknown model action {action!r}")
-
-
-def _unmap_resident(world):
-    """The controlled-channel probe: clobber the PTE of a page the
-    enclave believes resident, then touch it.  The fault must be
-    diagnosed as an attack — servicing it is the leak."""
-    target = min(world.resident_pool())
-    world.kernel.page_table.drop(target)
-    world.engine.data_access(target)
-    world.violations.append(
-        f"OS-induced fault on resident page {target:#x} was serviced "
-        "instead of detected")
-
-
-def _tamper_backing(world):
-    """Forge the sealed blob of a swapped-out page, then touch it; the
-    reload must fail integrity verification.  On SGX1 the blob sits in
-    the kernel's backing store; on SGX2 it sits in untrusted memory the
-    runtime owns (``paging_ops._sealed``) — a Byzantine host can scribble
-    on either."""
-    import dataclasses
-
-    target = min(world.swapped_pool())
-    sealed = getattr(world.runtime.paging_ops, "_sealed", None)
-    if sealed is not None:
-        sealed[target] = dataclasses.replace(
-            sealed[target], mac="forged-by-model")
-    else:
-        world.kernel.backing.forge(
-            world.enclave.enclave_id, target, "forged-by-model")
-    world.engine.data_access(target)
-    world.violations.append(
-        f"enclave resumed on tampered page {target:#x} without aborting")
 
 
 def _tamper_suspend_set(world):
@@ -415,26 +346,11 @@ def _tamper_suspend_set(world):
     bypasses enclave-managed paging — so the consumption point is the
     resume's ELDU train, not a page fault.  The forgery itself is
     silent; ``resume`` must reject it."""
-    state = world.driver_state()
-    in_pool = [base for base in state.suspend_set if base in world.pool]
-    target = min(in_pool) if in_pool else min(state.suspend_set)
-    world.kernel.backing.forge(
-        world.enclave.enclave_id, target, "forged-by-model")
+    kernel, enclave = world.kernel, world.enclave
+    target = (adversary.suspended_pages(kernel, enclave, world.pool)
+              or adversary.suspended_pages(kernel, enclave))[0]
+    adversary.tamper(kernel.backing, enclave, target)
     world.suspend_tampered = True
-
-
-def _resume_suspended(world):
-    """Resume a suspended enclave: every suspend-set blob is ELDU-
-    restored, and a blob forged while suspended must fail integrity
-    verification there — resuming onto forged state is the leak."""
-    tampered = world.suspend_tampered
-    world.kernel.driver.resume_enclave(world.enclave)
-    world.suspended = False
-    world.suspend_tampered = False
-    if tampered:
-        world.violations.append(
-            "resume restored a forged suspend-set blob without "
-            "aborting")
 
 
 #: Single-event plans for the deny actions, one per SGX version: the
@@ -455,64 +371,6 @@ def _deny_fetch(world, count):
     finally:
         world.silent_consumption.extend(injector.silent_consumption)
         injector.uninstall()
-
-
-def _crash_and_recover(world):
-    """The host kills the enclave; the supervisor path reclaims the
-    corpse, relaunches, replays the journal, and verifies the restored
-    state against the uncrashed witness trace."""
-    manager = world.manager
-    try:
-        manager.crash()
-    except EnclaveCrashed:
-        pass  # the model *is* the host script that killed it
-    world.kernel.driver.reclaim_enclave(world.enclave)
-    runtime = world.program.launch(world.kernel)
-    applied = manager.restore(runtime)
-    if state_fingerprint(runtime) != manager.trace[applied]:
-        world.violations.append(
-            f"recovered state diverged from the uncrashed witness at "
-            f"journal position {applied}")
-    _adopt(world, runtime)
-    world.recoveries += 1
-
-
-def _rollback_attack(world):
-    """Seal a fresh checkpoint, have the host drop it, then crash: the
-    restore must detect the rollback via the monotonic counter and
-    fail stop with an integrity abort."""
-    manager = world.manager
-    manager.seal_checkpoint()
-    manager.checkpoints.blobs.pop()
-    try:
-        manager.crash()
-    except EnclaveCrashed:
-        pass
-    world.kernel.driver.reclaim_enclave(world.enclave)
-    runtime = world.program.launch(world.kernel)
-    manager.restore(runtime)  # must raise IntegrityAbort
-    _adopt(world, runtime)
-    world.violations.append(
-        "restore accepted a rolled-back checkpoint set")
-
-
-def _adopt(world, runtime):
-    """Point every handle at the restored incarnation (the model's
-    version of the campaign's ``_adopt``)."""
-    world.runtime = runtime
-    world.enclave = runtime.enclave
-    world.system.runtime = runtime
-    world.system.policy = runtime.policy
-    if world.policy_name == "broken":
-        from repro.modelcheck.toys import break_policy
-        break_policy(runtime)
-    world.engine = world.program.engine(runtime)
-    # Pending quota restores belonged to the dead incarnation, and the
-    # relaunched incarnation boots unsuspended (any forged suspend-set
-    # blob died with the old enclave id).
-    world.squeezed = 0
-    world.suspended = False
-    world.suspend_tampered = False
 
 
 def _post_checks(world, action):

@@ -17,6 +17,29 @@ from repro.core.config import SystemConfig
 from repro.core.system import DirectEngine, OramEngine, build_policy
 from repro.oram.policy import OramPolicy
 from repro.runtime.libos import EnclaveLayout, GrapheneRuntime
+from repro.sgx.params import PAGE_SIZE
+
+
+@dataclass(frozen=True)
+class HeapWarmup:
+    """The heap warm-up of one policy over the first ``pages`` heap
+    pages: pin_all touches and seals them, clusters allocates them (one
+    deterministic cluster assignment), every other policy needs none.
+
+    Picklable, and a function of the runtime alone, as
+    :attr:`EnclaveProgram.warmup` must be."""
+
+    policy: str
+    pages: int
+
+    def __call__(self, runtime):
+        heap = runtime.regions["heap"]
+        if self.policy == "pin_all":
+            for i in range(self.pages):
+                runtime.access(heap.start + i * PAGE_SIZE)
+            runtime.policy.seal()
+        elif self.policy == "clusters":
+            runtime.allocator.alloc_pages(self.pages)
 
 
 @dataclass

@@ -62,6 +62,8 @@ class RuntimeRegion:
     def contains(self, vaddr):
         return self.start <= vaddr < self.end
 
+    __contains__ = contains
+
     def pages(self):
         return [self.start + i * PAGE_SIZE for i in range(self.npages)]
 

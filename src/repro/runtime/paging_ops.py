@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.clock import Category
 from repro.errors import AttackDetected, IntegrityError, SgxError
+from repro.host.backing import BackingStore
 from repro.runtime.backoff import RetryPolicy, call_with_retry
 from repro.sgx.crypto import PagingCrypto
 from repro.sgx.epcm import Permissions
@@ -75,6 +76,12 @@ class Sgx1PagingOps(PagingOps):
     pass through unchanged; the driver normalises them again on its side
     of the trust boundary and settles each call as one transaction."""
 
+    @property
+    def store(self):
+        """Where EWB puts this runtime's sealed pages: the kernel's
+        backing store."""
+        return self.channel.kernel.backing
+
     def fetch_batch(self, vaddrs):
         if not vaddrs:
             return []
@@ -89,9 +96,10 @@ class Sgx1PagingOps(PagingOps):
 class Sgx2PagingOps(PagingOps):
     """In-enclave paging over SGX2 dynamic memory management.
 
-    The sealed blobs live in untrusted memory owned by the runtime
-    (``self._sealed``); integrity and freshness come from the enclave's
-    own sealing crypto, so a hostile OS gains nothing by touching them.
+    The sealed blobs live in untrusted memory owned by the runtime, a
+    :class:`~repro.host.backing.BackingStore` of its own (``store``);
+    integrity and freshness come from the enclave's own sealing crypto,
+    so a hostile OS gains nothing by touching them.
     """
 
     def __init__(self, enclave, channel, instructions, clock, cost,
@@ -101,7 +109,7 @@ class Sgx2PagingOps(PagingOps):
         self.clock = clock
         self.cost = cost
         self.crypto = PagingCrypto()
-        self._sealed = {}
+        self.store = BackingStore()
         #: Contents cache keyed by vaddr while a page is resident, so
         #: evict can re-seal what fetch unsealed (the EPC frame holds
         #: the authoritative copy; this mirrors it for the model).
@@ -119,8 +127,10 @@ class Sgx2PagingOps(PagingOps):
         # overlaps EAUG with decryption via a temporary buffer (§6), so
         # we do not serialize an extra round trip per page.
         self._host_call("sgx2_augment_batch", bases)
+        store = self.store
+        eid = self.enclave.enclave_id
         for base in bases:
-            sealed = self._sealed.pop(base, None)
+            sealed = store.take(eid, base) if store.has(eid, base) else None
             try:
                 if sealed is None:
                     # First touch: plain EACCEPT of the zeroed page.
@@ -146,7 +156,7 @@ class Sgx2PagingOps(PagingOps):
                 # enclave-side instruction is the detector (§6) — a
                 # lying paging service is an active attack.
                 if sealed is not None:
-                    self._sealed[base] = sealed
+                    store.put(eid, base, sealed)
                 raise AttackDetected(
                     f"host skipped EAUG for {base:#x}: {exc}"
                 ) from exc
@@ -157,6 +167,7 @@ class Sgx2PagingOps(PagingOps):
         if not vaddrs:
             return
         bases = [page_base(v) for v in vaddrs]
+        eid = self.enclave.enclave_id
         for base in bases:
             if base not in self._resident_contents:
                 raise SgxError(
@@ -173,9 +184,7 @@ class Sgx2PagingOps(PagingOps):
             self.instr.eaccept(self.enclave, base)
             contents = self._resident_contents.pop(base)
             self.clock.charge(self.cost.encrypt_page, Category.SGX_PAGING)
-            self._sealed[base] = self.crypto.seal(
-                self.enclave.enclave_id, base, contents
-            )
+            self.store.put(eid, base, self.crypto.seal(eid, base, contents))
         # Phase 2: trim, accept, and release the frames.
         self._host_call("sgx2_trim_batch", bases)
         for base in bases:

@@ -30,9 +30,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import sys
 
 from repro.service.chaos import ServiceFaultPlan
-from repro.service.router import ServiceConfig, run_service
+from repro.service.router import EnclaveService, ServiceConfig, run_service
 from repro.service.sweep import (
     SWEEP_POLICIES,
     pool_report,
@@ -311,14 +312,21 @@ def run_plan(args):
     """Replay a frozen service fault plan and check its expectations —
     exit 0 only if the run is safe, deterministic, and every expected
     floor (failovers, quarantines, completions...) holds."""
-    with open(args.plan, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    envelope = payload if "plan" in payload else {"plan": payload}
-    plan = ServiceFaultPlan.from_json(envelope["plan"])
-    config = _config_from_json(envelope.get("config", {}), plan)
-    rerun_config = _config_from_json(envelope.get("config", {}), plan)
-    result = run_service(config)
-    rerun = run_service(rerun_config)
+    try:
+        with open(args.plan, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        envelope = payload if "plan" in payload else {"plan": payload}
+        plan = ServiceFaultPlan.from_json(envelope["plan"])
+        services = [
+            EnclaveService(
+                _config_from_json(envelope.get("config", {}), plan))
+            for _ in range(2)
+        ]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"repro serve: cannot replay {args.plan}: {exc}",
+              file=sys.stderr)
+        return 2
+    result, rerun = [service.run() for service in services]
     expected = envelope.get("expected_outcome", {})
     checks = {
         "safe": result.safe,

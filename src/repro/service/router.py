@@ -62,7 +62,9 @@ from repro.errors import (
     IntegrityError,
     Quarantined,
     SgxError,
+    abort_reason,
 )
+from repro.host import adversary
 from repro.host.kernel import HostKernel
 from repro.recovery.supervisor import RUNNING, RecoverySupervisor
 from repro.runtime.multiprocess import EnclaveSupervisor
@@ -174,7 +176,17 @@ class EnclaveService:
         ]
         self._next_index = len(self.tenants)
         self.plan = cfg.fault_plan
-        if self.plan is None:
+        if self.plan is not None:
+            for event in self.plan.events:
+                # A plan from outside must not pass on events that can
+                # never fire: the run's clock is its arrival ticks.
+                if not 0 <= event.at_tick < cfg.ticks:
+                    raise ValueError(
+                        f"{event.kind.value}@tick{event.at_tick}: "
+                        f"at_tick is outside the run's ticks "
+                        f"0..{cfg.ticks - 1}"
+                    )
+        else:
             max_width = max(
                 [t.spec.replicas for t in self.tenants], default=1
             )
@@ -479,21 +491,16 @@ class EnclaveService:
         handle, record = target_pair
         runtime = record.runtime
         backing = self.kernel.backing
-        eid = runtime.enclave.enclave_id
-        heap = runtime.regions["heap"]
-        swapped = sorted(
-            v for v in backing.swapped_pages(eid)
-            if heap.contains(v)
-            and not self.kernel.driver.resident(runtime.enclave, v)
+        swapped = adversary.swapped_out(
+            self.kernel, runtime.enclave, backing, runtime.regions["heap"]
         )
         if not swapped:
             self.skipped_events.append(
                 (self.tick, "tamper", "nothing-swapped")
             )
             return
-        target = swapped[0]
-        backing.forge(eid, target, "forged-by-chaos")
-        tenant.pending_probe = (handle.index, target)
+        adversary.tamper(backing, runtime.enclave, swapped[0])
+        tenant.pending_probe = (handle.index, swapped[0])
 
     def _aex_storm(self, tenant, event):
         """A train of host interrupts against the primary — the §3.2
@@ -503,11 +510,9 @@ class EnclaveService:
             return
         _, record = target_pair
         runtime = record.runtime
-        cpu, tcs = self.kernel.cpu, runtime.tcs
         rounds = max(1, event.param)
-        for _ in range(rounds):
-            cpu.interrupt(runtime.enclave, tcs)
-            cpu.resume_from_interrupt(runtime.enclave, tcs)
+        adversary.aex_storm(self.kernel, runtime.enclave, runtime.tcs,
+                            rounds)
         self.metrics.aex_interrupts += rounds
 
     def _suspend_replica(self, tenant, event):
@@ -831,12 +836,7 @@ class EnclaveService:
         member = handle.member_name
         clock = self.kernel.clock
         tenant.aborts += 1
-        if isinstance(exc, EnclaveTerminated) and exc.reason:
-            reason = exc.reason.value
-        elif isinstance(exc, IntegrityError):
-            reason = "integrity"
-        else:
-            reason = f"unclassified({type(exc).__name__})"
+        reason = abort_reason(exc)
         tenant.breaker.record_failure(clock.cycles)
         self.recovery.mark_down(member, exc)
         self._make_headroom(RELAUNCH_HEADROOM_PAGES)

@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import SystemConfig
-from repro.recovery.program import EnclaveProgram
+from repro.core.config import small_config
+from repro.recovery.program import EnclaveProgram, HeapWarmup
 from repro.runtime.libos import EnclaveLayout
 from repro.runtime.rate_limit import ProgressKind
 from repro.service.admission import PagingBudget, TokenBucket
@@ -51,35 +51,6 @@ PINNED_POOL_PAGES = 40
 #: cannot hold its pinned runtime region and shrinking becomes an
 #: attack, not a negotiation.
 BUDGET_FLOOR = 24
-
-
-def tenant_config(policy_name, epc_pages, quota_pages):
-    """A small paging-heavy :class:`SystemConfig` for one tenant
-    (mirrors the chaos campaign's sizing so faults have teeth)."""
-    common = dict(
-        epc_pages=epc_pages,
-        quota_pages=quota_pages,
-        runtime_pages=8,
-        code_pages=16,
-        data_pages=16,
-        heap_pages=256,
-    )
-    if policy_name == "pin_all":
-        return SystemConfig.for_policy(
-            "pin_all", enclave_managed_budget=min(120, quota_pages - 8),
-            **common
-        )
-    if policy_name == "clusters":
-        return SystemConfig.for_policy(
-            "clusters", cluster_pages=8, enclave_managed_budget=64,
-            **common
-        )
-    if policy_name == "rate_limit":
-        return SystemConfig.for_policy(
-            "rate_limit", max_faults_per_progress=64, grace_faults=512,
-            enclave_managed_budget=64, **common
-        )
-    raise ValueError(f"service does not cover policy {policy_name!r}")
 
 
 @dataclass(frozen=True)
@@ -221,24 +192,13 @@ class Tenant:
         one replica.  All replicas share the tenant's config and
         warmup, so any replica can serve any request verbatim."""
         return EnclaveProgram(
-            config=tenant_config(
+            config=small_config(
                 self.spec.policy, epc_pages, self.spec.quota_pages
             ),
             layout=self.layout(replica),
-            warmup=self._warmup,
+            warmup=HeapWarmup(self.spec.policy, self.pool_pages),
             name=self.replica_name(replica),
         )
-
-    def _warmup(self, runtime):
-        """Deterministic bootstrap, replayed bit-identically on every
-        relaunch (the restore fingerprint depends on it)."""
-        heap = runtime.regions["heap"]
-        if self.spec.policy == "pin_all":
-            for i in range(self.pool_pages):
-                runtime.access(heap.start + i * PAGE_SIZE)
-            runtime.policy.seal()
-        elif self.spec.policy == "clusters":
-            runtime.allocator.alloc_pages(self.pool_pages)
 
     def pool(self, runtime):
         """The heap addresses requests touch (index ↔ vaddr)."""

@@ -632,6 +632,37 @@ class TestFrozenWitness:
         assert report["failovers"] >= 1
         assert report["quarantines"] >= 1
 
+    @pytest.mark.parametrize("name, text", [
+        ("missing.json", None),
+        ("not-json.json", "not json"),
+        ("unknown-kind.json", json.dumps({"seed": 0, "ticks": 10, "events": [
+            {"kind": "nope", "at_tick": 1, "tenant_index": 0}]})),
+        ("late-storm.json", json.dumps({"seed": 0, "ticks": 10, "events": [
+            {"kind": "aex-storm", "at_tick": 50, "tenant_index": 0,
+             "param": 4}]})),
+    ])
+    def test_unusable_plan_is_one_error_line(self, tmp_path, capsys,
+                                              name, text):
+        # A plan the service cannot read, or with an event its clock
+        # can never reach (tick 50 of a 10-tick run), is refused up
+        # front instead of tracing back or replaying as "OK".
+        from repro.service.cli import run
+        plan = tmp_path / name
+        if text is not None:
+            plan.write_text(text)
+        assert run(["--plan", str(plan)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("repro serve: cannot replay")
+
+    def test_service_rejects_events_past_its_last_tick(self):
+        plan = ServiceFaultPlan(seed=0, ticks=10, events=(
+            ServiceFaultEvent(ServiceFaultKind.AEX_STORM, 10, 0, param=4),))
+        with pytest.raises(ValueError, match="at_tick"):
+            EnclaveService(ServiceConfig(seed=0, ticks=10,
+                                         fault_plan=plan))
+
 
 class TestPoolSweep:
     def test_pool_frontier_jobs_parity_and_shape(self):
@@ -711,11 +742,11 @@ class TestContentionSweep:
 # -- the recovery supervisor's public counters (stats) ------------------------
 
 def _member_program(name="member", epc_pages=256):
+    from repro.core.config import small_config
     from repro.recovery.program import EnclaveProgram
-    from repro.service.tenant import tenant_config
 
     return EnclaveProgram(
-        config=tenant_config("rate_limit", epc_pages, 64),
+        config=small_config("rate_limit", epc_pages, 64),
         name=name,
     )
 
