@@ -505,9 +505,19 @@ class TestCampaign:
         run = run_plan(plan, policy)
         assert (run.outcome, run.reason) == (OUTCOME_ABORTED, "integrity")
 
-    def test_run_digests_match_the_pinned_sweep(self):
+    @pytest.mark.parametrize("tier", ("off", "columnar"))
+    def test_run_digests_match_the_pinned_sweep(self, tier, monkeypatch):
         # 160 runs, every op-level kind landing at least once: a host
-        # act that changes what any run does changes a digest here.
+        # act that changes what any run does changes a digest here, and
+        # so does a fast-path tier that is not the reference semantics.
+        import repro.chaos.campaign as campaign
+        monkeypatch.setattr(
+            campaign, "small_config",
+            lambda *args, **kwargs: dataclasses.replace(
+                small_config(*args, **kwargs), fastpath=tier))
+        kernel = _ChaosRun(0, "clusters").kernel
+        assert kernel.fastpath == tier
+        assert (kernel.cpu.columnar is None) == (tier == "off")
         fixture = json.loads(
             (FIXTURES / "campaign_digests.json").read_text())
         pinned = [tuple(run) for run in fixture["runs"]]
