@@ -69,7 +69,7 @@ def cmd_list():
           "modelcheck [--policy all] [--depth N] [--jobs N], "
           "recover [--ops N] [--policies ...], "
           "serve [--smoke|--sweep] [--jobs N], "
-          "bench [--jobs N] [--output path]")
+          "bench [--baseline] [--no-write] [--output path]")
 
 
 def cmd_run(names, quiet=False, jobs=1):
@@ -113,7 +113,7 @@ def main(argv=None):
         from repro.service.cli import run as serve_run
         return serve_run(argv[1:])
     if argv and argv[0] == "bench":
-        # Wall-clock benchmark of the access engine + parallel runner.
+        # Wall-clock A/B of the translation fast path (tier off vs columnar).
         from repro.bench import run as bench_run
         return bench_run(argv[1:])
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import PolicyError
-from repro.sgx.columnar import TIER_COLUMNAR, normalize_tier
 from repro.sgx.params import (
     DEFAULT_EPC_PAGES,
     ArchOptimizations,
@@ -14,30 +13,6 @@ from repro.sgx.params import (
     SgxVersion,
 )
 from repro.runtime.self_paging import EvictionOrder
-
-#: Process-wide default for the translation fast-path tier: "off" (no
-#: memoization at all), "memo" (the PR 4 epoch-guarded per-page memo),
-#: or "columnar" (memo + the batch interpreter).  Benchmarks flip it
-#: to measure each engine's contribution; normal runs leave the full
-#: engine on (every tier is observationally equivalent — see
-#: docs/performance.md, tests/test_fastpath.py, tests/test_columnar.py).
-_FASTPATH_DEFAULT = TIER_COLUMNAR
-
-
-def set_fastpath_default(tier):
-    """Set the process-wide fast-path tier; returns the old value.
-
-    Accepts tier names ("off" / "memo" / "columnar") and the
-    historical booleans (False = off, True = the full engine).
-    """
-    global _FASTPATH_DEFAULT
-    old = _FASTPATH_DEFAULT
-    _FASTPATH_DEFAULT = normalize_tier(tier)
-    return old
-
-
-def fastpath_default():
-    return _FASTPATH_DEFAULT
 
 
 @dataclass
@@ -82,10 +57,9 @@ class SystemConfig:
     exitless: bool = True
     #: None = unbounded TLB; set (e.g. 1536) for capacity-miss studies.
     tlb_capacity: Optional[int] = None
-    #: Translation fast-path tier: "off", "memo", or "columnar"
-    #: (booleans accepted: False = off, True = columnar); ``None``
-    #: defers to the process-wide default (:func:`set_fastpath_default`).
-    fastpath: Optional[object] = None
+    #: Translation fast-path tier: "off" (the reference semantics) or
+    #: "columnar"; ``None`` is "columnar" (see repro.sgx.columnar).
+    fastpath: Optional[str] = None
     #: Enclave layout sizes (pages).
     runtime_pages: int = 64
     code_pages: int = 256

@@ -15,12 +15,7 @@ from repro.clock import Category, Clock
 from repro.errors import PageFault, SgxError
 from repro.host.backing import BackingStore
 from repro.host.driver import SgxDriver
-from repro.sgx.columnar import (
-    TIER_COLUMNAR,
-    TIER_OFF,
-    ColumnarEngine,
-    normalize_tier,
-)
+from repro.sgx.columnar import TIER_COLUMNAR, ColumnarEngine, normalize_tier
 from repro.sgx.cpu import Cpu
 from repro.sgx.epc import EpcAllocator
 from repro.sgx.epcm import Epcm
@@ -54,13 +49,14 @@ class HostKernel:
 
     def __init__(self, epc_pages=DEFAULT_EPC_PAGES, cost=None,
                  arch_opts=None, autarky_aware=True, tlb_capacity=None,
-                 fastpath=True):
+                 fastpath=TIER_COLUMNAR):
         self.cost = cost or CostModel()
         self.clock = Clock()
-        #: Fast-path tier ("off" / "memo" / "columnar"); booleans are
-        #: accepted for compatibility (False = off, True = the full
-        #: engine).  See repro.sgx.columnar and docs/performance.md.
+        #: Fast-path tier: "off" (the reference semantics) or
+        #: "columnar"; ``None`` is "columnar".  See repro.sgx.columnar
+        #: and docs/performance.md.
         self.fastpath = normalize_tier(fastpath)
+        fast = self.fastpath == TIER_COLUMNAR
         #: One translation generation stamp shared by every component
         #: that can change what a virtual address resolves to; the
         #: MMU's memoized fast path keys off it.  The "off" tier
@@ -80,13 +76,11 @@ class HostKernel:
         self.driver = SgxDriver(self.instr, self.page_table, self.backing,
                                 self.clock, self.cost)
         self.mmu = Mmu(self.page_table, self.tlb, self.epcm, self.clock,
-                       self.cost,
-                       epoch=(None if self.fastpath == TIER_OFF
-                              else self.epoch))
+                       self.cost, epoch=self.epoch if fast else None)
         self.cpu = Cpu(self.mmu, self.clock, self.cost,
                        arch_opts or ArchOptimizations())
         self.cpu.kernel = self
-        if self.fastpath == TIER_COLUMNAR:
+        if fast:
             self.cpu.columnar = ColumnarEngine(self.tlb, self.epoch)
 
         #: Whether the OS follows the Autarky protocol (re-enter through

@@ -22,7 +22,9 @@ Two modes:
   ``tests/fixtures/chaos/``.
 
 ``--baseline FILE`` gates any sweep output against a committed
-``BENCH_service.json``: per-point digests must match bit-for-bit.
+``BENCH_service.json``: per-point digests must match bit-for-bit.  A
+baseline that cannot be read or pins no point is refused (exit 2)
+before any point runs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import dataclasses
 import json
 import sys
 
+from repro.core.digest import pin_mismatches, read_pinned
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.router import EnclaveService, ServiceConfig, run_service
 from repro.service.sweep import (
@@ -187,38 +190,41 @@ def run_smoke(args):
     return 0 if ok else 1
 
 
-def _baseline_gate(report, baseline_path):
+def sweep_pins(report):
+    """Per-point digests of a sweep report, keyed ``(section, seed,
+    policy)``: the contention points and the pool frontier's."""
+    pool = report.get("pool_frontier") or {}
+    return {
+        (section, p["seed"], p["policy"]): p["digest"]
+        for section, block in (("contention", report),
+                               ("pool_frontier", pool))
+        for p in block.get("points", ())
+    }
+
+
+def _baseline_gate(report, baseline):
     """Compare per-point digests (contention + pool frontier) against
     a committed report; returns a list of mismatch messages."""
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-
-    def digests(payload, section):
-        block = payload.get(section) if section else payload
-        if not block:
-            return {}
-        return {
-            (p["seed"], p["policy"]): p["digest"]
-            for p in block.get("points", ())
-        }
-
-    mismatches = []
-    for section in (None, "pool_frontier"):
-        fresh = digests(report, section)
-        frozen = digests(baseline, section)
-        label = section or "contention"
-        for key in sorted(set(fresh) & set(frozen)):
-            if fresh[key] != frozen[key]:
-                mismatches.append(
-                    f"{label} point seed={key[0]} policy={key[1]}: "
-                    f"{fresh[key]} != baseline {frozen[key]}"
-                )
-        if frozen and not fresh:
-            mismatches.append(f"{label}: baseline has points, run has none")
-    return mismatches
+    fresh, frozen = sweep_pins(report), sweep_pins(baseline)
+    return pin_mismatches(
+        fresh, frozen,
+        lambda key: f"{key[0]} point seed={key[1]} policy={key[2]}",
+    ) + [
+        f"{section}: baseline has points, run has none"
+        for section in sorted({key[0] for key in frozen}
+                              - {key[0] for key in fresh})
+    ]
 
 
 def run_contention_sweep(args):
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = read_pinned(args.baseline, sweep_pins)
+        except ValueError as exc:
+            print(f"repro serve: cannot gate against {args.baseline}: "
+                  f"{exc}", file=sys.stderr)
+            return 2
     seeds = range(args.seeds)
     check = not args.no_determinism_check
     sweep = run_sweep(
@@ -241,8 +247,8 @@ def run_contention_sweep(args):
             pool_sweep, list(seeds), list(SWEEP_POLICIES), args.jobs
         )
     baseline_mismatches = []
-    if args.baseline:
-        baseline_mismatches = _baseline_gate(report, args.baseline)
+    if baseline is not None:
+        baseline_mismatches = _baseline_gate(report, baseline)
     ok = sweep.ok and not baseline_mismatches
     if pool_sweep is not None:
         ok = ok and pool_sweep.ok

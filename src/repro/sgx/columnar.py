@@ -55,31 +55,26 @@ from repro.sgx.params import PAGE_SHIFT, AccessType
 # -- fast-path tiers -------------------------------------------------------
 
 #: No translation memoization at all: every access takes the classic
-#: lookup/walk path.  The ``repro bench`` baseline.
+#: lookup/walk path.  The reference semantics, and the ``repro bench``
+#: baseline.
 TIER_OFF = "off"
-#: The PR 4 engine: epoch-guarded per-page memo + ``probe_run``.
-TIER_MEMO = "memo"
-#: The full engine: memo plus the columnar batch interpreter.
+#: The shipped engine: the epoch-guarded per-page memo plus the
+#: columnar batch interpreter.
 TIER_COLUMNAR = "columnar"
 
-TIERS = (TIER_OFF, TIER_MEMO, TIER_COLUMNAR)
+TIERS = (TIER_OFF, TIER_COLUMNAR)
 
 
 def normalize_tier(value):
-    """Map a fast-path spec to a tier name.
-
-    Accepts tier strings, plus the historical booleans: ``False`` is
-    "off", ``True`` is the full engine ("columnar").
-    """
-    if value is True:
+    """Map a fast-path spec to a tier name: a tier name, or ``None``
+    for the shipped engine ("columnar")."""
+    if value is None:
         return TIER_COLUMNAR
-    if value is False:
-        return TIER_OFF
     if value in TIERS:
         return value
     raise ValueError(
         f"unknown fastpath tier {value!r}: expected one of {TIERS} "
-        f"or a boolean"
+        f"or None"
     )
 
 
@@ -114,11 +109,10 @@ class PageRun:
 
     Behaves as a read-only sequence of page addresses, so every
     pre-columnar consumer (``Mmu.probe_run``, the sequential replay in
-    ``Cpu.access_run``, the per-element legacy engines) iterates it
-    unchanged.  Holds one compiled PFN column and epoch stamp per
-    access type; stamps start invalid, and an epoch bump invalidates
-    them implicitly (the stamp no longer matches), so there is no
-    subscription machinery to get wrong.
+    ``Cpu.access_run``) iterates it unchanged.  Holds one compiled PFN
+    column and epoch stamp per access type; stamps start invalid, and
+    an epoch bump invalidates them implicitly (the stamp no longer
+    matches), so there is no subscription machinery to get wrong.
     """
 
     __slots__ = (

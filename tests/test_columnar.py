@@ -1,13 +1,13 @@
 """Columnar-tier equivalence: the batch interpreter is invisible.
 
-Every scenario here runs identically at all three fast-path tiers
-("off", "memo", "columnar") plus the pre-PR per-address legacy call
-structure, and asserts the complete observable state is identical:
-returned values, fault sequences, A/D bits, per-category cycle totals,
-all event counters.  The columnar interpreter may only change
-wall-clock, never simulated behaviour — the same contract
-tests/test_fastpath.py pins for the per-page memo, extended to whole
-compiled runs.
+Every scenario here runs identically at both fast-path tiers ("off",
+the reference semantics, and "columnar") plus the per-address call
+structure of :class:`LegacyEngine`, and asserts the complete
+observable state is identical: returned values, fault sequences, A/D
+bits, per-category cycle totals, all event counters.  The columnar
+interpreter may only change wall-clock, never simulated behaviour — the
+same contract tests/test_fastpath.py pins for the per-page memo,
+extended to whole compiled runs.
 
 Direct unit tests of the plan (:class:`PageRun`) and the
 compile/execute engine cover the pieces the end-to-end sweeps cannot
@@ -21,13 +21,12 @@ import random
 
 import pytest
 
-from repro.bench import LegacyEngine
 from repro.errors import EnclaveTerminated
 from repro.host.kernel import HostKernel
 from repro.sgx.columnar import (
     TIER_COLUMNAR,
-    TIER_MEMO,
     TIER_OFF,
+    TIERS,
     PageRun,
     as_run,
     column_list,
@@ -38,13 +37,51 @@ from repro.sgx.epcm import Permissions
 from repro.sgx.params import PAGE_SHIFT, PAGE_SIZE, AccessType, SgxVersion
 from tests.test_fastpath import POLICIES, _pool, build, observables
 
-TIERS_UNDER_TEST = (TIER_OFF, TIER_MEMO, TIER_COLUMNAR)
+
+class LegacyEngine:
+    """The per-address engine call structure, on today's stack.
+
+    One ``data_access`` per page and one ``runtime.compute`` per
+    charge — no batching, no bulk accounting, no planned traces.
+    Simulated behaviour is identical to the batched paths (same
+    accesses in the same order, same totals); only the Python call
+    count differs.
+    """
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.runtime = engine.runtime
+
+    def data_access(self, vaddr, write=False):
+        self._engine.data_access(vaddr, write=write)
+
+    def data_access_run(self, vaddrs, write=False):
+        for vaddr in vaddrs:
+            self._engine.data_access(vaddr, write=write)
+
+    def make_run(self, vaddrs):
+        return list(vaddrs)
+
+    def replay(self, trace):
+        run, cycles = trace
+        for vaddr in run:
+            self._engine.data_access(vaddr)
+        self.runtime.compute(cycles)
+
+    def compute(self, cycles):
+        self.runtime.compute(cycles)
+
+    def progress(self, kind):
+        self._engine.progress(kind)
+
+    def region(self, name):
+        return self._engine.region(name)
 
 
 def tier_outcomes(build_fn, drive_fn, legacy=True):
     """Run ``drive_fn(system, engine)`` at every tier (plus the legacy
     per-address engine on the "off" tier) and return the outcomes."""
-    modes = [(tier, False) for tier in TIERS_UNDER_TEST]
+    modes = [(tier, False) for tier in TIERS]
     if legacy:
         modes.append(("legacy", True))
     outcomes = {}
@@ -263,11 +300,12 @@ class TestPageRunUnit:
         assert type(as_run([0x10000])) is PageRun
 
     def test_normalize_tier(self):
-        assert normalize_tier(True) == TIER_COLUMNAR
-        assert normalize_tier(False) == TIER_OFF
-        assert normalize_tier(TIER_MEMO) == TIER_MEMO
-        with pytest.raises(ValueError):
-            normalize_tier("warp-speed")
+        assert TIERS == (TIER_OFF, TIER_COLUMNAR)
+        assert normalize_tier(TIER_OFF) == TIER_OFF
+        assert normalize_tier(None) == TIER_COLUMNAR
+        for retired in (True, False, "memo", "warp-speed"):
+            with pytest.raises(ValueError):
+                normalize_tier(retired)
 
     # -- compile/execute against a real machine -------------------------
 
@@ -353,5 +391,10 @@ class TestPageRunUnit:
     def test_off_tier_has_no_columnar_engine(self):
         kernel = HostKernel(epc_pages=64, fastpath=TIER_OFF)
         assert kernel.cpu.columnar is None
-        kernel = HostKernel(epc_pages=64, fastpath=TIER_MEMO)
-        assert kernel.cpu.columnar is None
+        assert kernel.mmu.probe_run([0x5000], AccessType.READ) is None
+
+    def test_unset_tier_is_the_shipped_engine(self):
+        assert HostKernel(epc_pages=64).fastpath == TIER_COLUMNAR
+        kernel = HostKernel(epc_pages=64, fastpath=None)
+        assert kernel.fastpath == TIER_COLUMNAR
+        assert kernel.cpu.columnar is not None

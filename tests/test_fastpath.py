@@ -20,6 +20,7 @@ from repro.core.system import AutarkySystem
 from repro.errors import EnclaveTerminated
 from repro.host.kernel import HostKernel
 from repro.runtime.rate_limit import ProgressKind
+from repro.sgx.columnar import TIER_OFF, TIERS
 from repro.sgx.epcm import Permissions
 from repro.sgx.params import PAGE_SHIFT, PAGE_SIZE, AccessType, SgxVersion
 
@@ -69,13 +70,14 @@ def observables(system):
 
 
 def both_modes(scenario, *args, **kwargs):
-    """Run ``scenario(system, ...)`` fast and slow; return both outcomes.
+    """Run ``scenario(system, ...)`` at tier "off" and at "columnar";
+    return both outcomes, the reference first.
 
     The scenario's return value and any :class:`EnclaveTerminated` it
     raises are part of the equivalence contract.
     """
     outcomes = []
-    for fastpath in (False, True):
+    for fastpath in TIERS:
         system = scenario.build(fastpath, *args, **kwargs)
         try:
             result = scenario.drive(system)
@@ -336,7 +338,7 @@ class TestMemoUnit:
         assert kernel.mmu.probe_run(vaddrs[:2], AccessType.READ) is None
 
     def test_fastpath_disabled_is_inert(self):
-        kernel = HostKernel(epc_pages=64, fastpath=False)
+        kernel = HostKernel(epc_pages=64, fastpath=TIER_OFF)
         kernel.page_table.map(0x5000, 7, accessed=True, dirty=True)
         kernel.mmu.translate(0x5000, AccessType.READ)
         assert kernel.mmu.fast_hit(0x5000, AccessType.READ) is None

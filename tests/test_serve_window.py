@@ -32,11 +32,10 @@ from repro.core.system import AutarkySystem
 from repro.errors import EnclaveCrashed
 from repro.recovery.manager import RecoveryManager
 from repro.runtime.rate_limit import ProgressKind, RateLimiter
-from repro.sgx.columnar import TIER_COLUMNAR, TIER_MEMO, TIER_OFF
+from repro.sgx.columnar import TIER_COLUMNAR, TIERS
 from repro.sgx.params import PAGE_SHIFT, PAGE_SIZE
 
 POLICIES = ("baseline", "clusters", "rate_limit")
-TIERS = (TIER_OFF, TIER_MEMO, TIER_COLUMNAR)
 
 #: 128 KiB of 1 KiB items: 32 item pages and one index page.
 DATA_BYTES = 128 * 1024

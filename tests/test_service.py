@@ -739,6 +739,93 @@ class TestContentionSweep:
                                 OUTCOME_ABORTED: 1})) == RUN_ABORTED
 
 
+# -- the sweep's --baseline gate ----------------------------------------------
+
+COMMITTED_SWEEP = Path(__file__).parent.parent / "BENCH_service.json"
+
+
+def committed_sweep():
+    return json.loads(COMMITTED_SWEEP.read_text())
+
+
+class TestBaselineGate:
+    def test_tampered_digests_are_reported_point_by_point(self):
+        from repro.service.cli import _baseline_gate
+        report = committed_sweep()
+        tampered = committed_sweep()
+        point = tampered["points"][4]
+        pool_point = tampered["pool_frontier"]["points"][7]
+        fresh, pool_fresh = point["digest"], pool_point["digest"]
+        point["digest"] = "0" * 16
+        pool_point["digest"] = "f" * 16
+        assert _baseline_gate(report, committed_sweep()) == []
+        assert _baseline_gate(report, tampered) == [
+            f"contention point seed={point['seed']} "
+            f"policy={point['policy']}: {fresh} != baseline {'0' * 16}",
+            f"pool_frontier point seed={pool_point['seed']} "
+            f"policy={pool_point['policy']}: {pool_fresh} != baseline "
+            f"{'f' * 16}",
+        ]
+        del report["pool_frontier"]
+        assert _baseline_gate(report, committed_sweep()) == [
+            "pool_frontier: baseline has points, run has none"]
+
+    def test_sweep_fails_on_a_tampered_baseline(self, contention_sweep,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        from repro.service import cli
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda *args, **kwargs: contention_sweep)
+        baseline = committed_sweep()
+        del baseline["pool_frontier"]
+        point = baseline["points"][1]
+        fresh = point["digest"]
+        point["digest"] = "0" * 16
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        assert cli.run(["--sweep", "--seeds", "1", "--baseline", str(path),
+                        "--output", str(tmp_path / "out.json")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "BASELINE" in line] == [
+            f"BASELINE MISMATCH: contention point seed=0 "
+            f"policy={point['policy']}: {fresh} != baseline {'0' * 16}"]
+        assert lines[-1] == "verdict: FAIL"
+
+    @pytest.mark.parametrize("name, text", [
+        ("missing.json", None),
+        ("not-json.json", "not json"),
+        # A bench trajectory (BENCH_simwall.json) pins no sweep point.
+        ("trajectory.json", json.dumps({"schema": 2, "entries": [
+            {"slices": [{"name": "fig6_uthash", "speedup": 9.0,
+                         "fingerprint": {"cycles": 1}}]}]})),
+    ], ids=["missing", "not-json", "trajectory"])
+    def test_unusable_baseline_is_one_error_line(self, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 name, text):
+        # A baseline the gate cannot read, or that pins no point, is
+        # refused before any sweep point runs, instead of passing a
+        # gate that compared nothing.
+        from repro.service import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep point ran before the refusal")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.setattr(cli, "run_pool_sweep", refuse)
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        output = tmp_path / "out.json"
+        assert cli.run(["--sweep", "--pool", "--seeds", "1",
+                        "--baseline", str(path),
+                        "--output", str(output)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"repro serve: cannot gate against {path}")
+        assert not output.exists()
+
+
 # -- the recovery supervisor's public counters (stats) ------------------------
 
 def _member_program(name="member", epc_pages=256):
