@@ -98,6 +98,17 @@ OP_COMPUTE_CYCLES = 1_000
 #: supervisor to relaunch a tenant (eager launch footprint + warm-up).
 RELAUNCH_HEADROOM_PAGES = 64
 
+#: Requests dispatched per tick.
+DISPATCH_PER_TICK = 8
+#: Simulated cycles the router charges per tick (time always advances,
+#: so token buckets refill and cooldowns elapse even when no work runs).
+TICK_CYCLES = 400_000
+#: Degradation thresholds, EPC occupancy in thousandths.
+TIER1_PRESSURE_MILLI = 800
+TIER2_PRESSURE_MILLI = 920
+#: Balloon pages requested per tier-1 shrink step.
+SHRINK_STEP_PAGES = 16
+
 
 @dataclass
 class ServiceConfig:
@@ -114,17 +125,6 @@ class ServiceConfig:
     ticks: int = 24
     #: Bounded run queue — the only place requests wait.
     queue_capacity: int = 16
-    #: Requests dispatched per tick.
-    dispatch_per_tick: int = 8
-    #: Simulated cycles the router charges per tick (time always
-    #: advances, so token buckets refill and cooldowns elapse even
-    #: when no work runs).
-    tick_cycles: int = 400_000
-    #: Degradation thresholds, EPC occupancy in thousandths.
-    tier1_pressure_milli: int = 800
-    tier2_pressure_milli: int = 920
-    #: Balloon pages requested per tier-1 shrink step.
-    shrink_step_pages: int = 16
     #: Fault plan; None generates one from the seed, () disables.
     fault_plan: Optional[ServiceFaultPlan] = None
     #: Live churn: ``(tick, TenantSpec)`` pairs booted mid-run and
@@ -413,7 +413,7 @@ class EnclaveService:
             departures_at.setdefault(at_tick, []).append(name)
         for tick in range(self.config.ticks):
             self.tick = tick
-            self.kernel.clock.charge(self.config.tick_cycles, Category.OS)
+            self.kernel.clock.charge(TICK_CYCLES, Category.OS)
             for name in departures_at.get(tick, ()):
                 self._retire(name)
             for spec in arrivals_at.get(tick, ()):
@@ -424,12 +424,12 @@ class EnclaveService:
             self._admit_arrivals(tick)
             self._dispatch()
         # Drain: no new arrivals, dispatch until the bounded queue is
-        # empty (provably <= capacity ticks since dispatch_per_tick>=1).
+        # empty (provably <= capacity ticks since DISPATCH_PER_TICK>=1).
         for _ in range(self.config.queue_capacity + 1):
             if not self._queue:
                 break
             self.tick += 1
-            self.kernel.clock.charge(self.config.tick_cycles, Category.OS)
+            self.kernel.clock.charge(TICK_CYCLES, Category.OS)
             self._evaluate_tiers()
             self._dispatch()
         self.shutdown()
@@ -582,10 +582,9 @@ class EnclaveService:
         self.metrics.peak_epc_pressure_milli = max(
             self.metrics.peak_epc_pressure_milli, pressure
         )
-        cfg = self.config
-        if pressure >= cfg.tier2_pressure_milli:
+        if pressure >= TIER2_PRESSURE_MILLI:
             tier = 2
-        elif pressure >= cfg.tier1_pressure_milli:
+        elif pressure >= TIER1_PRESSURE_MILLI:
             tier = 1
         else:
             tier = 0
@@ -623,7 +622,7 @@ class EnclaveService:
         record = self.recovery.member(handle.member_name)
         runtime = record.runtime
         freed = self.kernel.request_memory_reduction(
-            runtime.enclave, self.config.shrink_step_pages
+            runtime.enclave, SHRINK_STEP_PAGES
         )
         if freed <= 0:
             return
@@ -667,7 +666,7 @@ class EnclaveService:
             return
         tenant, handle = shrunk[self._restore_cursor % len(shrunk)]
         self._restore_cursor += 1
-        back = min(self.config.shrink_step_pages, handle.shrunk_pages)
+        back = min(SHRINK_STEP_PAGES, handle.shrunk_pages)
         record = self.recovery.member(handle.member_name)
         runtime = record.runtime
         self.kernel.driver.state(runtime.enclave).quota_pages += back
@@ -742,7 +741,7 @@ class EnclaveService:
     # -- dispatch and execution --------------------------------------------
 
     def _dispatch(self):
-        for _ in range(self.config.dispatch_per_tick):
+        for _ in range(DISPATCH_PER_TICK):
             if not self._queue:
                 return
             tenant, request = self._queue.popleft()
