@@ -18,6 +18,7 @@ from repro.experiments import (
     fig7_rate_limit,
     fig8_memcached,
     leakage_analysis,
+    sensitivity,
 )
 
 
@@ -135,6 +136,41 @@ class TestAttackMitigation:
                        and "fault tracer" in r.scenario]
         assert all(r.silent_resume_rejected for r in tracer_rows)
 
+    def test_printed_columns_are_pinned(self, rows):
+        # Every column the E7 table prints, exactly as the simulation
+        # produced it; a refactor of the scenarios must not move one.
+        assert [
+            (r.scenario, r.defense, r.recovery_accuracy,
+             r.enclave_terminated, r.silent_resume_rejected,
+             r.observed_faults)
+            for r in rows
+        ] == [
+            ("Hunspell word recovery (fault tracer)", "vanilla",
+             0.7066666666666667, False, False, 680),
+            ("Hunspell word recovery (fault tracer)", "autarky",
+             0.0, True, True, 1),
+            ("Hunspell word recovery (A/D-bit monitor)", "vanilla",
+             0.425, False, False, 120),
+            ("Hunspell word recovery (A/D-bit monitor)", "autarky",
+             0.0, True, False, 0),
+            ("libjpeg image recovery (fault tracer)", "vanilla",
+             1.0, False, False, 1152),
+            ("libjpeg image recovery (fault tracer)", "autarky",
+             0.0, True, True, 1),
+            ("FreeType text recovery (fault tracer)", "vanilla",
+             1.0, False, False, 960),
+            ("FreeType text recovery (fault tracer)", "autarky",
+             0.0, True, True, 1),
+            ("FreeType text recovery (protect tracer)", "vanilla",
+             1.0, False, False, 960),
+            ("FreeType text recovery (protect tracer)", "autarky",
+             0.0, True, True, 1),
+            ("Hunspell word recovery (remap tracer)", "vanilla",
+             0.7066666666666667, False, False, 680),
+            ("Hunspell word recovery (remap tracer)", "autarky",
+             0.0, True, True, 1),
+        ]
+
 
 class TestLeakage:
     def test_cluster_probability_series(self):
@@ -172,6 +208,23 @@ class TestAblations:
             cost["sgx1 exit-based ocalls"]
         assert cost["sgx1 exitless (default)"] < cost["sgx2 exitless"]
         assert cost["sgx1 + elide AEX"] < cost["unprotected baseline"]
+
+
+class TestSensitivity:
+    def test_small_grid_is_pinned(self):
+        rows = sensitivity.run(fields=("aex", "eldu"), factors=(0.5, 2.0),
+                               faults=150)
+        assert [
+            (r.field, r.factor, r.c1_sgx1_cheaper,
+             r.c2_elide_beats_unprotected, r.c3_exitless_cheaper,
+             r.c4_ad_check_small, r.c5_premium_bounded)
+            for r in rows
+        ] == [
+            ("aex", 0.5, True, False, True, True, True),
+            ("aex", 2.0, True, True, True, True, True),
+            ("eldu", 0.5, True, True, True, True, True),
+            ("eldu", 2.0, False, True, True, True, True),
+        ]
 
 
 class TestFig8Smoke:

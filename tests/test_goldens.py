@@ -49,6 +49,19 @@ class TestFaultPathGoldens:
     def test_elided_fault(self, costs):
         assert costs["sgx1 + elide AEX"] == pytest.approx(16_290, abs=1)
 
+    def test_exit_based_reload_faults(self, costs):
+        assert costs["sgx1 exit-based ocalls"] == pytest.approx(
+            37_090, abs=1
+        )
+        assert costs["sgx2 exit-based ocalls"] == pytest.approx(
+            39_590, abs=1
+        )
+
+    def test_in_enclave_resume_fault(self, costs):
+        assert costs["sgx1 + in-enclave resume"] == pytest.approx(
+            25_390, abs=1
+        )
+
 
 class TestLeakageGoldens:
     def test_paper_guess_probability(self):

@@ -49,3 +49,22 @@ def test_fault_reduction_tracks_memory(rows):
 def test_table_renders(rows):
     out = multi_enclave.format_table(rows)
     assert "balloon" in out and "suspend" in out
+
+
+def test_rows_are_pinned(rows):
+    # The throughputs are exact quotients of integer cycle counts, so
+    # they compare equal, not approximately.
+    assert rows == [
+        multi_enclave.MultiEnclaveRow(
+            strategy="static", loaded_throughput=75039.96548161589,
+            idle_throughput=157662.98410982353, loaded_faults=590,
+            epc_moved=0),
+        multi_enclave.MultiEnclaveRow(
+            strategy="balloon", loaded_throughput=91298.88974028725,
+            idle_throughput=77473.05044602342, loaded_faults=555,
+            epc_moved=1200),
+        multi_enclave.MultiEnclaveRow(
+            strategy="suspend", loaded_throughput=91298.88974028725,
+            idle_throughput=14655.12819573389, loaded_faults=555,
+            epc_moved=1736),
+    ]
