@@ -61,7 +61,6 @@ def build(k):
     policy = WindowPolicy(heap.start, heap.npages, k=k)
     policy.attach(system.runtime.pager)
     system.runtime.policy = policy
-    system.policy = policy
     return system, heap
 
 

@@ -39,6 +39,7 @@ from repro.core.invariants import (
     masked_faults,
 )
 from repro.core.metrics import AbortStats
+from repro.core.system import HeapWarmup
 from repro.errors import (
     EnclaveTerminated,
     PolicyError,
@@ -48,7 +49,6 @@ from repro.errors import (
 from repro.host import adversary
 from repro.recovery.journal import Journal
 from repro.recovery.manager import RecoveryManager
-from repro.recovery.program import HeapWarmup
 from repro.recovery.scripted import ScriptedEnclave
 from repro.runtime.rate_limit import ProgressKind
 from repro.sgx.params import PAGE_SIZE

@@ -11,7 +11,12 @@ and the metrics helpers in :mod:`repro.core.metrics`.
 
 from repro.core.config import PolicyConfig, SystemConfig
 from repro.core.metrics import Measurement, RunMetrics, geomean, slowdown
-from repro.core.system import AutarkySystem, DirectEngine, OramEngine
+from repro.core.system import (
+    AutarkySystem,
+    DirectEngine,
+    EnclaveProgram,
+    OramEngine,
+)
 from repro.core.leakage import (
     cluster_guess_probability,
     distinguishable_secrets,
@@ -31,6 +36,7 @@ __all__ = [
     "slowdown",
     "AutarkySystem",
     "DirectEngine",
+    "EnclaveProgram",
     "OramEngine",
     "cluster_guess_probability",
     "distinguishable_secrets",

@@ -1,8 +1,10 @@
 """One-call assembly of the full stack, plus the access engines apps use.
 
-:class:`AutarkySystem` boots the simulated machine, launches an enclave
-with the configured policy, and hands out an *engine* — the interface
-application models program against:
+:class:`EnclaveProgram` is the one launch recipe: it turns a
+:class:`SystemConfig` into a running runtime on a kernel, and builds
+its *engine* — the interface application models program against.
+:class:`AutarkySystem` boots a machine from the same config and
+launches one program on it.  The engines:
 
 * :class:`DirectEngine` — accesses go through the MMU (page faults,
   self-paging).  Used by every policy except ORAM.
@@ -11,6 +13,9 @@ application models program against:
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from repro.clock import Category
 from repro.core.config import SystemConfig
@@ -32,11 +37,9 @@ from repro.sgx.params import PAGE_SIZE, AccessType
 def build_policy(cfg, layout, clock):
     """Construct the configured paging policy from a :class:`SystemConfig`.
 
-    Module-level so recovery can rebuild an identical policy when it
-    relaunches a crashed enclave (:mod:`repro.recovery.program`), not
-    just :class:`AutarkySystem` at first boot.  Policies that consult
-    clusters come back with ``manager=None`` — the caller wires in the
-    runtime's :class:`ClusterManager` after launch.
+    Policies that consult clusters come back with ``manager=None`` —
+    :meth:`EnclaveProgram.launch` wires in the runtime's
+    :class:`ClusterManager` after launch.
     """
     spec = cfg.policy
     if spec.name == "baseline":
@@ -203,8 +206,100 @@ class OramEngine(DirectEngine):
             self.oram_policy.access(vaddr, write=write)
 
 
+@dataclass(frozen=True)
+class HeapWarmup:
+    """The heap warm-up of one policy over the first ``pages`` heap
+    pages: pin_all touches and seals them, clusters allocates them (one
+    deterministic cluster assignment), every other policy needs none.
+
+    Picklable, and a function of the runtime alone, as
+    :attr:`EnclaveProgram.warmup` must be."""
+
+    policy: str
+    pages: int
+
+    def __call__(self, runtime):
+        heap = runtime.regions["heap"]
+        if self.policy == "pin_all":
+            for i in range(self.pages):
+                runtime.access(heap.start + i * PAGE_SIZE)
+            runtime.policy.seal()
+        elif self.policy == "clusters":
+            runtime.allocator.alloc_pages(self.pages)
+
+
+@dataclass
+class EnclaveProgram:
+    """One enclave's reproducible launch recipe.
+
+    Recovery relaunches a crashed enclave from it — same kernel, same
+    layout, same policy, same deterministic warm-up — so that the new
+    incarnation's measurement (and hence sealing key) and bootstrap
+    fingerprint match what the crashed one sealed.
+
+    ``warmup`` is the deterministic bootstrap run before the base
+    checkpoint is sealed (preloads, seals, cluster assignment); it must
+    depend only on the runtime handed to it — any ambient input would
+    make the relaunch fingerprint diverge and restore fail-stop.
+    """
+
+    config: SystemConfig = field(default_factory=SystemConfig)
+    #: Base address of the enclave (enclaves sharing one kernel need
+    #: distinct bases); every size comes from the config.
+    base: int = EnclaveLayout.base
+    warmup: Optional[Callable] = None
+    name: str = "enclave"
+
+    def build_layout(self):
+        cfg = self.config
+        return EnclaveLayout(
+            base=self.base,
+            runtime_pages=cfg.runtime_pages,
+            code_pages=cfg.code_pages,
+            data_pages=cfg.data_pages,
+            heap_pages=cfg.heap_pages,
+            reserve_pages=cfg.reserve_pages,
+        )
+
+    def launch(self, kernel):
+        """Launch (or relaunch) the enclave on ``kernel`` and run its
+        warm-up; returns the ready runtime.  Two calls on equivalent
+        kernels produce bit-identical canonical state and identical
+        measurements (the relaunch contract restore depends on)."""
+        cfg = self.config
+        layout = self.build_layout()
+        policy = build_policy(cfg, layout, kernel.clock)
+        runtime = GrapheneRuntime.launch(
+            kernel,
+            policy,
+            layout=layout,
+            quota_pages=cfg.quota_pages,
+            legacy=cfg.policy.name == "baseline",
+            sgx_version=cfg.sgx_version,
+            enclave_managed_budget=cfg.enclave_managed_budget,
+            eviction_order=cfg.eviction_order,
+            exitless=cfg.exitless,
+        )
+        # Policies that consult clusters get the runtime's manager.
+        if getattr(policy, "manager", False) is None:
+            policy.manager = runtime.clusters
+        clustered = cfg.policy.name in ("clusters", "rate_limit")
+        runtime.configure_heap(
+            cfg.policy.cluster_pages if clustered else None)
+        if self.warmup is not None:
+            self.warmup(runtime)
+        return runtime
+
+    def engine(self, runtime):
+        """The access engine applications drive (rebuilt per launch)."""
+        if isinstance(runtime.policy, OramPolicy):
+            return OramEngine(runtime, runtime.policy)
+        return DirectEngine(runtime)
+
+
 class AutarkySystem:
-    """The assembled machine + enclave + runtime + policy."""
+    """The assembled machine + enclave + runtime + policy: one kernel
+    built from the config, one :class:`EnclaveProgram` launched on it."""
 
     def __init__(self, config=None):
         self.config = config or SystemConfig()
@@ -218,33 +313,16 @@ class AutarkySystem:
             tlb_capacity=cfg.tlb_capacity,
             fastpath=cfg.fastpath,
         )
-        self.layout = EnclaveLayout(
-            runtime_pages=cfg.runtime_pages,
-            code_pages=cfg.code_pages,
-            data_pages=cfg.data_pages,
-            heap_pages=cfg.heap_pages,
-            reserve_pages=cfg.reserve_pages,
-        )
-        legacy = cfg.policy.name == "baseline"
-        self.policy = self._build_policy(cfg)
-        self.runtime = GrapheneRuntime.launch(
-            self.kernel,
-            self.policy,
-            layout=self.layout,
-            quota_pages=cfg.quota_pages,
-            legacy=legacy,
-            sgx_version=cfg.sgx_version,
-            enclave_managed_budget=cfg.enclave_managed_budget,
-            eviction_order=cfg.eviction_order,
-            exitless=cfg.exitless,
-        )
-        # Policies that consult clusters get the runtime's manager.
-        if getattr(self.policy, "manager", False) is None:
-            self.policy.manager = self.runtime.clusters
-        if cfg.policy.name in ("clusters", "rate_limit"):
-            self.runtime.configure_heap(cfg.policy.cluster_pages)
-        else:
-            self.runtime.configure_heap(None)
+        self.program = EnclaveProgram(cfg)
+        self.runtime = self.program.launch(self.kernel)
+
+    @property
+    def policy(self):
+        return self.runtime.policy
+
+    @property
+    def layout(self):
+        return self.runtime.layout
 
     @property
     def enclave(self):
@@ -255,9 +333,7 @@ class AutarkySystem:
         return self.kernel.clock
 
     def engine(self):
-        if isinstance(self.policy, OramPolicy):
-            return OramEngine(self.runtime, self.policy)
-        return DirectEngine(self.runtime)
+        return self.program.engine(self.runtime)
 
     def measure(self):
         return Measurement(self.kernel, self.runtime)
@@ -268,8 +344,3 @@ class AutarkySystem:
 
     def heap_start(self):
         return self.runtime.regions["heap"].start
-
-    # -- internals -----------------------------------------------------------
-
-    def _build_policy(self, cfg):
-        return build_policy(cfg, self.layout, self.kernel.clock)

@@ -29,7 +29,6 @@ from repro.sgx.params import (
 class PathRow:
     variant: str
     cycles_per_fault: float
-    faults: int
 
 
 VARIANTS = {
@@ -49,29 +48,30 @@ VARIANTS = {
 }
 
 
-def run_variant(name, overrides, faults=800):
-    policy = overrides.pop("policy", "rate_limit")
-    budget = faults + 64
+def reload_fault_cycles(faults, policy="rate_limit", **overrides):
+    """Cycles per fault of ``faults`` reload faults under ``policy``;
+    ``overrides`` are further :class:`SystemConfig` fields.
+
+    Touches ``faults`` heap pages, evicts every one, then times
+    touching them again, so the measured faults exercise the reload
+    paths (ELDU vs decrypt+EACCEPTCOPY) where the SGX versions
+    actually differ — not the identical zero-fill path.
+    """
     kwargs = dict(
         epc_pages=2 * faults + 4_096,
         quota_pages=2 * faults + 512,
-        enclave_managed_budget=budget,
+        enclave_managed_budget=faults + 64,
         heap_pages=4 * faults + 1_024,
         code_pages=16,
         data_pages=16,
         runtime_pages=8,
-        max_faults_per_progress=10 * faults,
     )
-    if policy == "baseline":
-        kwargs.pop("max_faults_per_progress")
+    if policy != "baseline":
+        kwargs["max_faults_per_progress"] = 10 * faults
     kwargs.update(overrides)
     system = AutarkySystem(SystemConfig.for_policy(policy, **kwargs))
     heap = system.runtime.regions["heap"]
     pages = [heap.start + i * PAGE_SIZE for i in range(faults)]
-
-    # Warm then evict everything, so the measured faults exercise the
-    # reload paths (ELDU vs decrypt+EACCEPTCOPY) where the SGX versions
-    # actually differ — not the identical zero-fill path.
     for page in pages:
         system.runtime.access(page, AccessType.WRITE)
     if policy == "baseline":
@@ -83,13 +83,12 @@ def run_variant(name, overrides, faults=800):
     with system.measure() as m:
         for page in pages:
             system.runtime.access(page, AccessType.READ)
-    metrics = m.metrics(ops=faults)
-    return PathRow(name, metrics.cycles_per_op, metrics.faults)
+    return m.metrics(ops=faults).cycles_per_op
 
 
 def run(faults=800):
     return [
-        run_variant(name, dict(overrides), faults=faults)
+        PathRow(name, reload_fault_cycles(faults, **overrides))
         for name, overrides in VARIANTS.items()
     ]
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.memcached import Memcached
+from repro.core.config import SystemConfig
+from repro.core.system import EnclaveProgram
 from repro.experiments.formatting import render_table
 from repro.host.kernel import HostKernel
-from repro.runtime.libos import EnclaveLayout, GrapheneRuntime
-from repro.runtime.policies import RateLimitPolicy
-from repro.runtime.rate_limit import RateLimiter
 from repro.sgx.params import PAGE_SIZE
 from repro.workloads.ycsb import UniformGenerator
 
@@ -45,18 +44,21 @@ class MultiEnclaveRow:
 
 
 def _launch_pair(epc_pages, quota_each):
+    """Two rate-limited enclaves on one kernel; returns the kernel and
+    their ``(runtime, engine)`` pairs."""
+    config = SystemConfig.for_policy(
+        "rate_limit", max_faults_per_progress=1_000_000,
+        cluster_pages=None, epc_pages=epc_pages, quota_pages=quota_each,
+        enclave_managed_budget=quota_each - 64,
+        runtime_pages=4, code_pages=8, data_pages=8, heap_pages=16_384,
+    )
     kernel = HostKernel(epc_pages=epc_pages)
-    runtimes = []
+    pair = []
     for base in (0x10_0000_0000, 0x20_0000_0000):
-        runtimes.append(GrapheneRuntime.launch(
-            kernel, RateLimitPolicy(RateLimiter(1_000_000)),
-            layout=EnclaveLayout(base=base, runtime_pages=4,
-                                 code_pages=8, data_pages=8,
-                                 heap_pages=16_384),
-            quota_pages=quota_each,
-            enclave_managed_budget=quota_each - 64,
-        ))
-    return kernel, runtimes
+        program = EnclaveProgram(config, base=base)
+        runtime = program.launch(kernel)
+        pair.append((runtime, program.engine(runtime)))
+    return kernel, pair
 
 
 def _grant_quota(kernel, runtime, extra_pages):
@@ -70,13 +72,12 @@ def _grant_quota(kernel, runtime, extra_pages):
 def run_strategy(strategy, requests=1_500, seed=53):
     epc_pages = 4_096
     quota_each = 1_800
-    kernel, (loaded_rt, idle_rt) = _launch_pair(epc_pages, quota_each)
+    kernel, pair = _launch_pair(epc_pages, quota_each)
+    (loaded_rt, loaded_engine), (idle_rt, idle_engine) = pair
 
-    loaded = Memcached(DirectLike(loaded_rt),
-                       loaded_rt.regions["heap"].start,
+    loaded = Memcached(loaded_engine, loaded_rt.regions["heap"].start,
                        24 * 1024 * 1024)     # 6,144 pages >> quota
-    idle = Memcached(DirectLike(idle_rt),
-                     idle_rt.regions["heap"].start,
+    idle = Memcached(idle_engine, idle_rt.regions["heap"].start,
                      8 * 1024 * 1024)        # fills its slice, but cold
 
     # Warm both stores.
@@ -163,41 +164,6 @@ def run_strategy(strategy, requests=1_500, seed=53):
         loaded_faults=loaded_faults,
         epc_moved=epc_moved,
     )
-
-
-class DirectLike:
-    """Minimal engine adapter over a runtime (kept local: this
-    experiment drives two runtimes on one kernel, which the standard
-    AutarkySystem one-enclave assembly does not cover)."""
-
-    def __init__(self, runtime):
-        self.runtime = runtime
-
-    def data_access(self, vaddr, write=False):
-        from repro.sgx.params import AccessType
-        self.runtime.access(
-            vaddr, AccessType.WRITE if write else AccessType.READ
-        )
-
-    def data_access_run(self, vaddrs, write=False):
-        from repro.sgx.params import AccessType
-        self.runtime.access_pages(
-            vaddrs, AccessType.WRITE if write else AccessType.READ
-        )
-
-    def compute(self, cycles):
-        self.runtime.compute(cycles)
-
-    def make_run(self, vaddrs):
-        return list(vaddrs)
-
-    def replay(self, trace):
-        run, cycles = trace
-        self.data_access_run(run)
-        self.runtime.compute(cycles)
-
-    def progress(self, kind):
-        self.runtime.progress(kind)
 
 
 def run(requests=1_500):

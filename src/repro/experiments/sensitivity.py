@@ -25,16 +25,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.core.config import SystemConfig
-from repro.core.system import AutarkySystem
+from repro.experiments.ablation_paths import reload_fault_cycles
 from repro.experiments.formatting import render_table
-from repro.sgx.params import (
-    PAGE_SIZE,
-    AccessType,
-    ArchOptimizations,
-    CostModel,
-    SgxVersion,
-)
+from repro.sgx.params import ArchOptimizations, CostModel, SgxVersion
 
 #: Multipliers applied to each perturbed constant.
 FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)
@@ -65,46 +58,18 @@ class SensitivityRow:
         ))
 
 
-def _fault_cost(cost, policy="rate_limit", faults=200, **overrides):
-    kwargs = dict(
-        epc_pages=2 * faults + 2_048,
-        quota_pages=2 * faults + 256,
-        enclave_managed_budget=faults + 64,
-        heap_pages=4 * faults + 512,
-        code_pages=8, data_pages=8, runtime_pages=4,
-        cost=cost,
-    )
-    if policy != "baseline":
-        kwargs["max_faults_per_progress"] = 100 * faults
-    kwargs.update(overrides)
-    system = AutarkySystem(SystemConfig.for_policy(policy, **kwargs))
-    heap = system.runtime.regions["heap"]
-    pages = [heap.start + i * PAGE_SIZE for i in range(faults)]
-    for page in pages:
-        system.runtime.access(page, AccessType.WRITE)
-    if policy == "baseline":
-        for page in pages:
-            system.kernel.driver.evict_page(system.enclave, page)
-    else:
-        system.runtime.pager.evict_all()
-    before = system.clock.cycles
-    for page in pages:
-        system.runtime.access(page, AccessType.READ)
-    return (system.clock.cycles - before) / faults
-
-
 def evaluate(cost, faults=200):
     """Check every conclusion under one cost model."""
-    sgx1 = _fault_cost(cost, faults=faults)
-    sgx2 = _fault_cost(cost, faults=faults,
-                       sgx_version=SgxVersion.SGX2)
-    unprotected = _fault_cost(cost, policy="baseline", faults=faults)
-    elided = _fault_cost(
-        cost, faults=faults,
+    sgx1 = reload_fault_cycles(faults, cost=cost)
+    sgx2 = reload_fault_cycles(faults, cost=cost,
+                               sgx_version=SgxVersion.SGX2)
+    unprotected = reload_fault_cycles(faults, "baseline", cost=cost)
+    elided = reload_fault_cycles(
+        faults, cost=cost,
         arch_opts=ArchOptimizations(in_enclave_resume=True,
                                     elide_aex=True),
     )
-    exit_based = _fault_cost(cost, faults=faults, exitless=False)
+    exit_based = reload_fault_cycles(faults, cost=cost, exitless=False)
 
     ad_fraction = cost.autarky_ad_check / max(
         cost.autarky_ad_check + 2_000, 1

@@ -26,6 +26,7 @@ from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultEvent, FaultKind, FaultPlan
 from repro.core.config import SystemConfig
 from repro.core.digest import canonical_digest
+from repro.core.system import HeapWarmup
 from repro.errors import (
     EnclaveCrashed,
     EnclaveTerminated,
@@ -37,7 +38,6 @@ from repro.host import adversary
 from repro.modelcheck.copier import clone
 from repro.modelcheck.toys import break_policy
 from repro.recovery.manager import RecoveryManager
-from repro.recovery.program import HeapWarmup
 from repro.recovery.scripted import ScriptedEnclave
 from repro.recovery.state import canonical_state
 from repro.runtime.rate_limit import ProgressKind

@@ -35,6 +35,7 @@ import dataclasses
 
 from repro.core.digest import canonical_digest
 from repro.core.invariants import epc_parity, masked_faults
+from repro.core.system import EnclaveProgram
 from repro.errors import (
     EnclaveCrashed,
     EnclaveTerminated,
@@ -47,14 +48,12 @@ from repro.host import adversary
 from repro.host.kernel import HostKernel
 from repro.modelcheck.copier import clone
 from repro.modelcheck.model import tiny_config
-from repro.recovery.program import EnclaveProgram
 from repro.recovery.state import canonical_state
 from repro.recovery.supervisor import (
     RUNNING,
     RecoverySupervisor,
     RestartPolicy,
 )
-from repro.runtime.libos import EnclaveLayout
 from repro.service.pool import TenantPool
 from repro.sgx.params import PAGE_SIZE
 
@@ -142,11 +141,7 @@ class PoolWorld:
         return EnclaveProgram(
             config=dataclasses.replace(tiny_config("rate_limit"),
                                        epc_pages=EPC_PAGES),
-            layout=EnclaveLayout(
-                base=STRIDE * (grid + 1),
-                runtime_pages=2, code_pages=2, data_pages=2,
-                heap_pages=8,
-            ),
+            base=STRIDE * (grid + 1),
             name=handle.member_name,
         )
 

@@ -11,7 +11,6 @@ Autarky's fail-safe design answers a misbehaving host with fail-stop
   monotonic-counter freshness (rollback rejection);
 * :mod:`repro.recovery.manager` — recording, crash injection hooks,
   and verified restore/replay;
-* :mod:`repro.recovery.program` — reproducible enclave launch recipes;
 * :mod:`repro.recovery.supervisor` — the multi-enclave restart /
   re-attest / restore / quarantine layer.
 
@@ -21,7 +20,6 @@ See docs/recovery.md for formats and the supervisor state machine.
 from repro.recovery.checkpoint import CheckpointStore, MonotonicCounter
 from repro.recovery.journal import Journal, validated_records
 from repro.recovery.manager import RecoveryManager
-from repro.recovery.program import EnclaveProgram
 from repro.recovery.state import canonical_state, fingerprint
 from repro.recovery.supervisor import (
     RecoverySupervisor,
@@ -35,7 +33,6 @@ __all__ = [
     "Journal",
     "validated_records",
     "RecoveryManager",
-    "EnclaveProgram",
     "canonical_state",
     "fingerprint",
     "RecoverySupervisor",

@@ -28,9 +28,9 @@ import json
 
 from repro.clock import Category
 from repro.core.config import SystemConfig
+from repro.core.system import EnclaveProgram
 from repro.errors import EnclaveCrashed, IntegrityAbort, Quarantined
 from repro.host.kernel import HostKernel
-from repro.recovery.program import EnclaveProgram
 from repro.recovery.state import fingerprint
 from repro.recovery.supervisor import RecoverySupervisor
 from repro.runtime.rate_limit import ProgressKind

@@ -13,10 +13,9 @@ with the caller.
 
 from __future__ import annotations
 
-from repro.core.system import AutarkySystem
+from repro.core.system import AutarkySystem, EnclaveProgram
 from repro.errors import EnclaveCrashed
 from repro.host import adversary
-from repro.recovery.program import EnclaveProgram
 from repro.recovery.state import fingerprint
 
 

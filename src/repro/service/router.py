@@ -904,7 +904,7 @@ class EnclaveService:
                         f"shutdown"
                     )
         bases = {
-            tenant.layout(r).base
+            tenant.base(r)
             for tenant in self.tenants
             for r in range(tenant.spec.replicas)
         }

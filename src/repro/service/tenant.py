@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import small_config
-from repro.recovery.program import EnclaveProgram, HeapWarmup
-from repro.runtime.libos import EnclaveLayout
+from repro.core.system import EnclaveProgram, HeapWarmup
 from repro.runtime.rate_limit import ProgressKind
 from repro.service.admission import PagingBudget, TokenBucket
 from repro.service.breaker import CircuitBreaker
@@ -173,16 +172,11 @@ class Tenant:
 
     # -- launch ------------------------------------------------------------
 
-    def layout(self, replica=0):
-        """Address-space layout for one replica.  Replicas occupy a
-        fixed grid of ``MAX_REPLICAS`` slots per tenant so a request
-        address unambiguously names ``(tenant, replica)``."""
-        slot = self.index * MAX_REPLICAS + replica
-        return EnclaveLayout(
-            base=BASE_STRIDE * (slot + 1),
-            runtime_pages=8, code_pages=16, data_pages=16,
-            heap_pages=256,
-        )
+    def base(self, replica=0):
+        """Base address of one replica.  Replicas occupy a fixed grid
+        of ``MAX_REPLICAS`` slots per tenant so a request address
+        unambiguously names ``(tenant, replica)``."""
+        return BASE_STRIDE * (self.index * MAX_REPLICAS + replica + 1)
 
     def replica_name(self, replica):
         return f"{self.spec.name}/r{replica}"
@@ -195,7 +189,7 @@ class Tenant:
             config=small_config(
                 self.spec.policy, epc_pages, self.spec.quota_pages
             ),
-            layout=self.layout(replica),
+            base=self.base(replica),
             warmup=HeapWarmup(self.spec.policy, self.pool_pages),
             name=self.replica_name(replica),
         )

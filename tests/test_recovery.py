@@ -341,9 +341,7 @@ class TestSupervisor:
                     for name in ("pin_all", "rate_limit")}
         # Distinct address-space bases so both fit on one kernel.
         for i, program in enumerate(programs.values()):
-            layout = program.build_layout()
-            layout.base = 0x10_0000_0000 * (i + 1)
-            program.layout = layout
+            program.base = 0x10_0000_0000 * (i + 1)
         for name, program in programs.items():
             supervisor.launch(name, program)
         for name, program in programs.items():

@@ -830,7 +830,7 @@ class TestBaselineGate:
 
 def _member_program(name="member", epc_pages=256):
     from repro.core.config import small_config
-    from repro.recovery.program import EnclaveProgram
+    from repro.core.system import EnclaveProgram
 
     return EnclaveProgram(
         config=small_config("rate_limit", epc_pages, 64),
