@@ -19,6 +19,7 @@ from repro.chaos.campaign import (
     run_plan,
 )
 from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan
+from repro.cli import name_list
 
 #: A sweep must fire at least this many distinct fault kinds, or the
 #: campaign is not exercising the surface it claims to.
@@ -73,10 +74,10 @@ def build_parser():
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
-    policies = tuple(
-        p.strip() for p in args.policies.split(",") if p.strip()
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    policies = name_list(parser, "--policies", args.policies,
+                         DEFAULT_POLICIES)
     if args.plan:
         return _replay_plan(args, policies)
     result = run_campaign(

@@ -45,6 +45,24 @@ ALIASES = {
 }
 
 
+def positive_int(text):
+    """argparse ``type`` for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def name_list(parser, flag, text, known):
+    """The comma-separated names in ``flag``'s value ``text``; a list
+    that names nothing, or a name outside ``known``, is refused as an
+    argparse error (exit 2)."""
+    names = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not names or any(name not in known for name in names):
+        parser.error(f"{flag} {text!r}: choose from {', '.join(known)}")
+    return names
+
+
 def _resolve(name):
     name = ALIASES.get(name, name)
     if name not in EXPERIMENTS:

@@ -17,10 +17,12 @@ import argparse
 import json
 import os
 
+from repro.cli import name_list, positive_int
 from repro.modelcheck.explorer import explore
 from repro.modelcheck.export import export_witnesses, witness_payload
 from repro.modelcheck.minimize import minimize
 from repro.modelcheck.model import POLICIES
+from repro.modelcheck.poolworld import WORLDS
 
 
 def build_parser():
@@ -37,7 +39,7 @@ def build_parser():
              "fail), or 'all' (the paging policies; default)",
     )
     parser.add_argument(
-        "--depth", type=int, default=3, metavar="N",
+        "--depth", type=positive_int, default=3, metavar="N",
         help="maximum trace length to explore (default: 3)",
     )
     parser.add_argument(
@@ -63,12 +65,13 @@ def build_parser():
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.policy == "all":
         policies = POLICIES
     else:
-        policies = tuple(
-            p.strip() for p in args.policy.split(",") if p.strip())
+        policies = name_list(parser, "--policy", args.policy,
+                             POLICIES + WORLDS + ("broken",))
     results = []
     for policy in policies:
         result = explore(policy, depth=args.depth,

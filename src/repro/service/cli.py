@@ -34,6 +34,7 @@ import dataclasses
 import json
 import sys
 
+from repro.cli import positive_int
 from repro.core.digest import pin_mismatches, read_pinned
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.router import EnclaveService, ServiceConfig, run_service
@@ -87,11 +88,12 @@ def build_parser():
         help="service seed (default: 0)",
     )
     parser.add_argument(
-        "--seeds", type=int, default=6, metavar="N",
+        "--seeds", type=positive_int, default=6, metavar="N",
         help="sweep seeds 0..N-1 (default: 6)",
     )
     parser.add_argument(
-        "--tenants", type=int, default=SMOKE_TENANTS, metavar="N",
+        "--tenants", type=positive_int, default=SMOKE_TENANTS,
+        metavar="N",
         help=f"fleet size (default: {SMOKE_TENANTS})",
     )
     parser.add_argument(

@@ -37,6 +37,28 @@ def test_subcommand_help_and_bad_flag(command, flag, code, capsys):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--tenants", "0"],
+    ["serve", "--sweep", "--seeds", "0"],
+    ["chaos", "--policies", "nope"],
+    ["modelcheck", "--policy", "nope"],
+    ["modelcheck", "--depth", "-1"],
+])
+def test_out_of_range_value_is_refused(argv, tmp_path, monkeypatch,
+                                       capsys):
+    # Refused before anything runs: one argparse error line, exit 2,
+    # and no report written into the working directory.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(
+        f"repro {argv[0]}: error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_runs_one_experiment(capsys):
     assert main(["leakage", "-q"]) == 0
     out = capsys.readouterr().out
