@@ -77,22 +77,20 @@ class DecisionForest:
         return _node_hash(tree, leaf, self.seed ^ 0xC1A55) \
             % self.n_classes
 
-    def _walk(self, tree, features, touch):
+    def _walk(self, tree, features):
         node = 0
         for _level in range(self.depth):
-            if touch:
-                # repro: allow[leakage] deliberate victim (Table 2):
-                # the decision path selects the node pages
-                self.engine.data_access(self.node_page(tree, node))
-                self.engine.compute(self.NODE_COMPUTE)
+            # repro: allow[leakage] deliberate victim (Table 2):
+            # the decision path selects the node pages
+            self.engine.data_access(self.node_page(tree, node))
+            self.engine.compute(self.NODE_COMPUTE)
             feature, threshold = self._node_params(tree, node)
             # repro: allow[leakage] feature-indexed comparison picks
             # the child, and with it the next page
             node = 2 * node + (1 if features[feature] < threshold
                                else 2)
-        if touch:
-            # repro: allow[leakage] input-dependent leaf page
-            self.engine.data_access(self.node_page(tree, node))
+        # repro: allow[leakage] input-dependent leaf page
+        self.engine.data_access(self.node_page(tree, node))
         return node
 
     def classify(self, features):
@@ -105,7 +103,7 @@ class DecisionForest:
         self.classifications += 1
         votes = [0] * self.n_classes
         for tree in range(self.n_trees):
-            leaf = self._walk(tree, features, touch=True)
+            leaf = self._walk(tree, features)
             # repro: allow[leakage] leaf class indexes the vote array
             votes[self._leaf_class(tree, leaf)] += 1
         self.engine.progress(ProgressKind.ALLOCATION)
@@ -129,10 +127,3 @@ class DecisionForest:
                                    else 2)
             pages.append(self.node_page(tree, node))
         return tuple(pages)
-
-    def leaves_for(self, features):
-        """Ground-truth leaf per tree (what recovery aims at)."""
-        return tuple(
-            self._walk(tree, features, touch=False)
-            for tree in range(self.n_trees)
-        )

@@ -25,16 +25,3 @@ def render_table(headers, rows, title=None):
 
 def fmt_pct(x, digits=1):
     return f"{100 * x:.{digits}f}%"
-
-
-def fmt_ratio(x, digits=2):
-    return f"{x:.{digits}f}x"
-
-
-def fmt_k(x):
-    """Thousands formatting for cycle counts / rates."""
-    if x >= 1_000_000:
-        return f"{x / 1e6:.2f}M"
-    if x >= 1_000:
-        return f"{x / 1e3:.1f}k"
-    return f"{x:.0f}"

@@ -66,11 +66,6 @@ class ObliviousTable:
         self._charge_scan()
         return self._data.pop(key, default)
 
-    def items_unsafe(self):
-        """Non-oblivious iteration for write-back paths that already
-        scan the whole structure (charged by the caller)."""
-        return self._data.items()
-
     def _charge_scan(self):
         self.scans += 1
         self.clock.charge(

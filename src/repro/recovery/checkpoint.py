@@ -52,9 +52,6 @@ class CheckpointStore:
     def append(self, blob):
         self.blobs.append(blob)
 
-    def latest(self):
-        return self.blobs[-1] if self.blobs else None
-
     def __len__(self):
         return len(self.blobs)
 
