@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.core.config import SystemConfig
@@ -77,3 +80,26 @@ def pinned_system(small_system):
     )
     system.policy.seal()
     return system
+
+
+@pytest.fixture
+def rerun_differs(monkeypatch):
+    """Patch a sweep's run function so each point's rerun differs.
+
+    ``rerun_differs(module, name)`` wraps ``module.name``: every second
+    call returns the same result with its digest zeroed.  A sweep at
+    ``--jobs 1`` calls the run function twice per point, so every
+    point becomes a determinism failure ``(seed, policy, digest,
+    "0" * 16)``.
+    """
+    def patch(module, name):
+        real = getattr(module, name)
+        calls = itertools.count(1)
+
+        def rerun_zeroed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if next(calls) % 2 == 0:
+                return dataclasses.replace(result, digest="0" * 16)
+            return result
+        monkeypatch.setattr(module, name, rerun_zeroed)
+    return patch

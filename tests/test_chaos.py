@@ -590,3 +590,35 @@ class TestChaosCli:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("repro chaos: cannot replay")
+
+
+class TestDeterminismGate:
+    """A run whose from-scratch rerun ends with another digest fails
+    the campaign, and both reports name it."""
+
+    def test_campaign_records_the_failing_point(self, rerun_differs):
+        import repro.chaos.campaign as campaign
+        rerun_differs(campaign, "run_one")
+        result = run_campaign((0,), ("rate_limit",))
+        [run] = result.runs
+        assert result.determinism_failures == [
+            (0, "rate_limit", run.digest, "0" * 16)]
+        assert not result.ok
+
+    def test_cli_reports_the_failing_point(self, rerun_differs, capsys):
+        import repro.chaos.campaign as campaign
+        from repro.chaos.cli import run
+        rerun_differs(campaign, "run_one")
+        argv = ["--seeds", "1", "--policies", "rate_limit"]
+        assert run(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("DETERMINISM FAILURES:")
+        assert lines[at + 1].startswith("  seed=0 policy=rate_limit: ")
+        assert lines[at + 1].endswith(" != " + "0" * 16)
+        assert run(argv + ["--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        [failure] = payload["determinism_failures"]
+        assert failure == {"seed": 0, "policy": "rate_limit",
+                           "digests": [payload["runs"][0]["digest"],
+                                       "0" * 16]}
+        assert payload["ok"] is False
