@@ -294,17 +294,19 @@ class AnalysisConfig:
         "TranslationEpoch",
     }))
     #: Parallel-runner entry points: callee name → positional index of
-    #: the task callable whose transitive write set must be empty.
+    #: the task callable whose transitive write set must be empty
+    #: (``Sweep.run_grid`` takes each sweep's ``run(seed, policy)``).
     effects_task_runners: dict = _default({
         "run_indexed": 0,
+        "run_grid": 0,
     })
     #: Reviewed-intentional ambient writes exempt from parallel
     #: purity, in display form.  The enclave/TCS id counters are
     #: process-local allocation bookkeeping: every forked worker
     #: re-derives them deterministically from its own task, the ids
     #: never enter result digests (the chaos/parallel CI jobs prove
-    #: bit-identity across pool widths), and flagging them at all six
-    #: runner call sites would bury real impurities.
+    #: bit-identity across pool widths), and flagging them at every
+    #: runner call site would bury real impurities.
     effects_purity_allowed_writes: frozenset = _default(frozenset({
         "repro.sgx.enclave.Enclave._next_id",
         "repro.sgx.tcs.Tcs._next_id",

@@ -27,7 +27,9 @@ is recorded as a safety-invariant violation and fails the campaign.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan
@@ -47,6 +49,7 @@ from repro.errors import (
     abort_reason,
 )
 from repro.host import adversary
+from repro.parallel import Sweep
 from repro.recovery.journal import Journal
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.scripted import ScriptedEnclave
@@ -105,40 +108,34 @@ class RunResult:
         return not self.violations
 
 
-@dataclass
-class CampaignResult:
-    """Aggregate of a full sweep."""
-
-    runs: list = field(default_factory=list)
-    abort_stats: dict = field(default_factory=dict)   # policy → AbortStats
-    determinism_failures: list = field(default_factory=list)
+class CampaignResult(Sweep):
+    """The chaos sweep: one :class:`RunResult` per point."""
 
     @property
-    def violations(self):
-        return [
-            (r.seed, r.policy, v) for r in self.runs for v in r.violations
-        ]
+    def runs(self):
+        return [run for _, _, run in self.points]
+
+    @property
+    def abort_stats(self):
+        """policy → :class:`AbortStats` of its runs' structured
+        aborts, in sweep order."""
+        stats = {}
+        for _, policy, run in self.points:
+            stats.setdefault(policy, AbortStats())
+            if run.outcome == OUTCOME_ABORTED:
+                stats[policy].record(run.reason)
+        return stats
 
     @property
     def fired_kinds(self):
-        kinds = set()
-        for run in self.runs:
-            kinds.update(run.fired_kinds)
-        return kinds
+        return {kind for run in self.runs for kind in run.fired_kinds}
 
     @property
     def recoveries(self):
         return sum(run.recoveries for run in self.runs)
 
-    @property
-    def ok(self):
-        return not self.violations and not self.determinism_failures
-
     def outcome_counts(self):
-        counts = {}
-        for run in self.runs:
-            counts[run.outcome] = counts.get(run.outcome, 0) + 1
-        return dict(sorted(counts.items()))
+        return self.count(attrgetter("outcome"))
 
 
 #: Heap pages the pin-all workload warms (and seals) / the others churn.
@@ -411,23 +408,6 @@ def run_plan(plan, policy_name):
     return _ChaosRun(plan.seed, policy_name, plan=plan).execute()
 
 
-def _campaign_point(task):
-    """Worker for one ``(seed, policy, check, exclude)`` sweep point.
-
-    Top-level (picklable) so :func:`repro.parallel.run_indexed` can
-    ship it to a pool worker; each point boots its own system, so
-    points are fully independent.  Returns ``(run, rerun_digest)``
-    where ``rerun_digest`` is ``None`` when determinism checking is
-    off.
-    """
-    seed, policy_name, check, exclude = task
-    run = run_one(seed, policy_name, exclude)
-    rerun_digest = (
-        run_one(seed, policy_name, exclude).digest if check else None
-    )
-    return run, rerun_digest
-
-
 def run_campaign(seeds, policies=DEFAULT_POLICIES,
                  check_determinism=True, jobs=1, exclude=()):
     """Sweep ``seeds`` × ``policies``; returns a :class:`CampaignResult`.
@@ -444,23 +424,6 @@ def run_campaign(seeds, policies=DEFAULT_POLICIES,
     ``exclude`` removes fault kinds from every generated plan (the
     ``--no-crash`` switch passes :data:`~repro.chaos.plan.CRASH_KINDS`).
     """
-    from repro.parallel import run_indexed
-
-    result = CampaignResult()
-    for policy_name in policies:
-        result.abort_stats[policy_name] = AbortStats()
-    tasks = [
-        (seed, policy_name, check_determinism, tuple(exclude))
-        for seed in seeds for policy_name in policies
-    ]
-    outcomes = run_indexed(_campaign_point, tasks, jobs=jobs)
-    for (seed, policy_name, _, _), (run, rerun_digest) in zip(tasks,
-                                                              outcomes):
-        if rerun_digest is not None and rerun_digest != run.digest:
-            result.determinism_failures.append(
-                (seed, policy_name, run.digest, rerun_digest)
-            )
-        result.runs.append(run)
-        if run.outcome == OUTCOME_ABORTED:
-            result.abort_stats[policy_name].record(run.reason)
-    return result
+    return CampaignResult.run_grid(
+        partial(run_one, exclude=tuple(exclude)), seeds, policies,
+        check_determinism, jobs)

@@ -19,12 +19,15 @@ serial run:
 
 With ``jobs <= 1`` the pool is bypassed entirely — a plain in-process
 loop — which is both the fallback and the reference the determinism
-tests compare against.
+tests compare against.  :class:`Sweep` builds the seeded sweep of the
+chaos campaign and the service sweeps on it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
+from dataclasses import dataclass, field
 
 
 def default_jobs():
@@ -73,3 +76,83 @@ def run_indexed(fn, items, jobs=1):
         indexed = sorted(pool.imap_unordered(_invoke, tasks),
                          key=_task_index)
     return [result for _, result in indexed]
+
+
+def _run_point(task):
+    """Pool worker for one sweep point: its result, and its rerun's
+    digest when determinism checking is on."""
+    run, seed, policy, check = task
+    result = run(seed, policy)
+    return result, run(seed, policy).digest if check else None
+
+
+@dataclass
+class Sweep:
+    """``run(seed, policy)`` over seeds × policies.  ``points`` holds
+    ``(seed, policy, result)`` seed-outer, policy-inner at any ``jobs``
+    width; each result has a ``digest`` and ``violations``.  A point
+    whose from-scratch rerun ends with another digest is recorded in
+    ``determinism_failures`` as ``(seed, policy, first, second)``."""
+
+    points: list = field(default_factory=list)
+    determinism_failures: list = field(default_factory=list)
+
+    @classmethod
+    def run_grid(cls, run, seeds, policies, check_determinism=True,
+                 jobs=1):
+        """Run the sweep.  ``run`` travels with every task, so it must
+        pickle: a module-level function or a ``partial`` of one."""
+        grid = [(seed, policy) for seed in seeds for policy in policies]
+        tasks = [(run, seed, policy, check_determinism)
+                 for seed, policy in grid]
+        sweep = cls()
+        for (seed, policy), (result, rerun_digest) in zip(
+                grid, run_indexed(_run_point, tasks, jobs=jobs)):
+            if rerun_digest is not None and rerun_digest != result.digest:
+                sweep.determinism_failures.append(
+                    (seed, policy, result.digest, rerun_digest))
+            sweep.points.append((seed, policy, result))
+        return sweep
+
+    @property
+    def violations(self):
+        """``(seed, policy, message)`` per safety-invariant breach."""
+        return [(seed, policy, message)
+                for seed, policy, result in self.points
+                for message in result.violations]
+
+    @property
+    def ok(self):
+        return not self.violations and not self.determinism_failures
+
+    def count(self, key):
+        """Points per ``key(result)``, sorted by key."""
+        return dict(sorted(Counter(
+            key(result) for _, _, result in self.points).items()))
+
+    def failure_lines(self, heading="SAFETY-INVARIANT VIOLATIONS"):
+        """The text report of what failed."""
+        lines = []
+        if self.violations:
+            lines.append(f"{heading}:")
+            lines += [f"  seed={seed} policy={policy}: {message}"
+                      for seed, policy, message in self.violations]
+        if self.determinism_failures:
+            lines.append("DETERMINISM FAILURES:")
+            lines += [f"  seed={seed} policy={policy}: {first} != {second}"
+                      for seed, policy, first, second
+                      in self.determinism_failures]
+        return lines
+
+    def failure_report(self):
+        """The JSON report of what failed."""
+        return {
+            "violations": [
+                {"seed": seed, "policy": policy, "message": message}
+                for seed, policy, message in self.violations
+            ],
+            "determinism_failures": [
+                {"seed": seed, "policy": policy, "digests": [first, second]}
+                for seed, policy, first, second in self.determinism_failures
+            ],
+        }

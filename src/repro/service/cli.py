@@ -266,14 +266,8 @@ def run_contention_sweep(args):
             print(f"  {klass:24s} {count}")
         print(f"  breaker trips={sweep.breaker_trips()} "
               f"closes={sweep.breaker_closes()}")
-        if sweep.violations:
-            print("SAFETY-INVARIANT VIOLATIONS:")
-            for seed, policy, message in sweep.violations:
-                print(f"  seed={seed} policy={policy}: {message}")
-        if sweep.determinism_failures:
-            print("DETERMINISM FAILURES:")
-            for seed, policy, first, second in sweep.determinism_failures:
-                print(f"  seed={seed} policy={policy}: {first} != {second}")
+        for line in sweep.failure_lines():
+            print(line)
         if pool_sweep is not None:
             print(f"pool-failover frontier: {len(pool_sweep.points)} "
                   f"points, classes {pool_sweep.class_counts()}")
@@ -282,10 +276,8 @@ def run_contention_sweep(args):
                       f"tp={row['mean_throughput_milli_per_mcycle']} "
                       f"fair={row['mean_fairness_milli']} "
                       f"failovers={row['failovers']}")
-            if pool_sweep.violations:
-                print("POOL SWEEP VIOLATIONS:")
-                for seed, policy, message in pool_sweep.violations:
-                    print(f"  seed={seed} policy={policy}: {message}")
+            for line in pool_sweep.failure_lines("POOL SWEEP VIOLATIONS"):
+                print(line)
         for message in baseline_mismatches:
             print(f"BASELINE MISMATCH: {message}")
         print(f"  report written to {args.output}")

@@ -14,18 +14,18 @@ invariant's classes plus the service's fourth legal class:
   a structured reason (and recovery/quarantine handled the corpse).
 
 Anything else — an invariant violation inside any run — fails the
-sweep.  With determinism checking on, every point runs twice and the
-digests must agree; ``jobs > 1`` fans points over
-:func:`repro.parallel.run_indexed` and must be bit-identical to the
-serial sweep.
+sweep.  Both sweeps run through :class:`repro.parallel.Sweep`: with
+determinism checking on, every point runs twice and the digests must
+agree, and ``jobs > 1`` must be bit-identical to the serial sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 
+from repro.parallel import Sweep
 from repro.service.router import ServiceConfig, run_service
-from repro.service.tenant import TenantSpec
+from repro.service.tenant import default_tenants
 
 SWEEP_POLICIES = ("pin_all", "clusters", "rate_limit")
 
@@ -42,51 +42,27 @@ SWEEP_TENANTS = 4
 SWEEP_EPC_PAGES = 224
 SWEEP_TICKS = 20
 
-#: Pool-failover sweep sizing: the same four-tenant fleets, but two
-#: replica enclaves per tenant.  The EPC doubles (a pin_all fleet
-#: seals every replica's working set) while quotas still over-commit
-#: it, so pool failover happens *under* tier pressure, not beside it.
+#: Pool-failover sweep width: the same four-tenant fleets, but two
+#: replica enclaves per tenant.  The EPC scales with the width (a
+#: pin_all fleet seals every replica's working set) while quotas
+#: still over-commit it, so pool failover happens *under* tier
+#: pressure, not beside it.
 POOL_REPLICAS = 2
-POOL_EPC_PAGES = 448
-POOL_TICKS = 20
-
-_DISTRIBUTIONS = ("zipf", "uniform", "hotspot90", "hotspot99")
 
 
-def homogeneous_tenants(policy, n=SWEEP_TENANTS, replicas=1):
-    """N tenants all under one paper policy, varied distributions."""
-    return [
-        TenantSpec(
-            name=f"tenant-{i}",
-            policy=policy,
-            distribution=_DISTRIBUTIONS[i % len(_DISTRIBUTIONS)],
-            arrivals_per_tick=2 + (i % 2),
-            quota_pages=128,
-            replicas=replicas,
-        )
-        for i in range(n)
-    ]
-
-
-def sweep_config(seed, policy, tenants=SWEEP_TENANTS,
-                 epc_pages=SWEEP_EPC_PAGES, ticks=SWEEP_TICKS):
+def sweep_config(seed, policy, replicas=1):
+    """One sweep point: a fleet all under ``policy``, ``replicas``
+    enclaves per tenant."""
     return ServiceConfig(
         seed=seed,
-        tenants=homogeneous_tenants(policy, tenants),
-        epc_pages=epc_pages,
-        ticks=ticks,
+        tenants=default_tenants(SWEEP_TENANTS, (policy,), replicas),
+        epc_pages=SWEEP_EPC_PAGES * replicas,
+        ticks=SWEEP_TICKS,
     )
 
 
-def pool_sweep_config(seed, policy, tenants=SWEEP_TENANTS,
-                      epc_pages=POOL_EPC_PAGES, ticks=POOL_TICKS,
-                      replicas=POOL_REPLICAS):
-    return ServiceConfig(
-        seed=seed,
-        tenants=homogeneous_tenants(policy, tenants, replicas=replicas),
-        epc_pages=epc_pages,
-        ticks=ticks,
-    )
+def pool_sweep_config(seed, policy):
+    return sweep_config(seed, policy, POOL_REPLICAS)
 
 
 def classify(result):
@@ -100,60 +76,23 @@ def classify(result):
     return RUN_COMPLETED
 
 
-@dataclass
-class SweepResult:
-    """Aggregate of a full contention sweep."""
-
-    points: list = field(default_factory=list)   # (seed, policy, class, ServiceResult)
-    determinism_failures: list = field(default_factory=list)
-
-    @property
-    def violations(self):
-        return [
-            (seed, policy, v)
-            for seed, policy, _, result in self.points
-            for v in result.violations
-        ]
-
-    @property
-    def ok(self):
-        return not self.violations and not self.determinism_failures
+class SweepResult(Sweep):
+    """A contention or pool-failover sweep: one
+    :class:`~repro.service.router.ServiceResult` per point."""
 
     def class_counts(self):
-        counts = {}
-        for _, _, klass, _ in self.points:
-            counts[klass] = counts.get(klass, 0) + 1
-        return dict(sorted(counts.items()))
+        return self.count(classify)
 
     def breaker_trips(self):
-        return sum(r.breaker_trips for _, _, _, r in self.points)
+        return sum(result.breaker_trips for _, _, result in self.points)
 
     def breaker_closes(self):
-        return sum(r.breaker_closes for _, _, _, r in self.points)
+        return sum(result.breaker_closes for _, _, result in self.points)
 
 
-def _sweep_point(task):
-    """Worker for one ``(seed, policy, check)`` point — top-level and
-    pure, so :func:`repro.parallel.run_indexed` can fork it; each point
-    boots its own kernel, so points are fully independent."""
-    seed, policy, check = task
-    result = run_service(sweep_config(seed, policy))
-    rerun_digest = (
-        run_service(sweep_config(seed, policy)).digest if check else None
-    )
-    return result, rerun_digest
-
-
-def _pool_point(task):
-    """Worker for one pool-failover ``(seed, policy, check)`` point —
-    same contract as :func:`_sweep_point`, pooled fleets."""
-    seed, policy, check = task
-    result = run_service(pool_sweep_config(seed, policy))
-    rerun_digest = (
-        run_service(pool_sweep_config(seed, policy)).digest
-        if check else None
-    )
-    return result, rerun_digest
+def _serve(seed, policy, replicas=1):
+    """Run one sweep point's service from scratch."""
+    return run_service(sweep_config(seed, policy, replicas))
 
 
 def throughput_milli(result):
@@ -177,32 +116,14 @@ def fairness_milli(result):
     return (total * total * 1000) // (len(ops) * squares)
 
 
-def _run_points(worker, seeds, policies, check_determinism, jobs):
-    from repro.parallel import run_indexed
-
-    tasks = [
-        (seed, policy, check_determinism)
-        for seed in seeds for policy in policies
-    ]
-    outcomes = run_indexed(worker, tasks, jobs=jobs)
-    sweep = SweepResult()
-    for (seed, policy, _), (result, rerun_digest) in zip(tasks, outcomes):
-        if rerun_digest is not None and rerun_digest != result.digest:
-            sweep.determinism_failures.append(
-                (seed, policy, result.digest, rerun_digest)
-            )
-        sweep.points.append((seed, policy, classify(result), result))
-    return sweep
-
-
 def run_sweep(seeds, policies=SWEEP_POLICIES, check_determinism=True,
               jobs=1):
     """Sweep ``seeds`` × ``policies``; returns a :class:`SweepResult`.
 
     Results merge in canonical seed-outer, policy-inner order, so the
     sweep is identical at any ``jobs`` width."""
-    return _run_points(_sweep_point, seeds, policies,
-                       check_determinism, jobs)
+    return SweepResult.run_grid(_serve, seeds, policies,
+                                check_determinism, jobs)
 
 
 def run_pool_sweep(seeds, policies=SWEEP_POLICIES,
@@ -211,8 +132,8 @@ def run_pool_sweep(seeds, policies=SWEEP_POLICIES,
     two-replica pools under the pooled fault family (tamper ladders,
     AEX storms, suspend/resume).  Same merge discipline as
     :func:`run_sweep`: identical at any ``jobs`` width."""
-    return _run_points(_pool_point, seeds, policies,
-                       check_determinism, jobs)
+    return SweepResult.run_grid(partial(_serve, replicas=POOL_REPLICAS),
+                                seeds, policies, check_determinism, jobs)
 
 
 def sweep_report(sweep, seeds, policies, jobs):
@@ -225,19 +146,12 @@ def sweep_report(sweep, seeds, policies, jobs):
         "classes": sweep.class_counts(),
         "breaker_trips": sweep.breaker_trips(),
         "breaker_closes": sweep.breaker_closes(),
-        "violations": [
-            {"seed": seed, "policy": policy, "message": message}
-            for seed, policy, message in sweep.violations
-        ],
-        "determinism_failures": [
-            {"seed": seed, "policy": policy, "digests": [first, second]}
-            for seed, policy, first, second in sweep.determinism_failures
-        ],
+        **sweep.failure_report(),
         "points": [
             {
                 "seed": seed,
                 "policy": policy,
-                "class": klass,
+                "class": classify(result),
                 "outcomes": result.outcome_counts,
                 "shed_by_reason": result.shed_by_reason,
                 "abort_reasons": result.abort_reasons,
@@ -248,7 +162,7 @@ def sweep_report(sweep, seeds, policies, jobs):
                 "cycles": result.cycles,
                 "digest": result.digest,
             }
-            for seed, policy, klass, result in sweep.points
+            for seed, policy, result in sweep.points
         ],
     }
 
@@ -259,13 +173,13 @@ def pool_report(sweep, seeds, policies, jobs):
     only (milli units) so the committed baseline diffs bit-exactly."""
     by_policy = {}
     points = []
-    for seed, policy, klass, result in sweep.points:
+    for seed, policy, result in sweep.points:
         tp = throughput_milli(result)
         fair = fairness_milli(result)
         points.append({
             "seed": seed,
             "policy": policy,
-            "class": klass,
+            "class": classify(result),
             "throughput_milli_per_mcycle": tp,
             "fairness_milli": fair,
             "failovers": result.failovers,
@@ -297,9 +211,7 @@ def pool_report(sweep, seeds, policies, jobs):
         "replicas": POOL_REPLICAS,
         "classes": sweep.class_counts(),
         "frontier": frontier,
-        "determinism_failures": [
-            {"seed": seed, "policy": policy, "digests": [first, second]}
-            for seed, policy, first, second in sweep.determinism_failures
-        ],
+        "determinism_failures":
+            sweep.failure_report()["determinism_failures"],
         "points": points,
     }

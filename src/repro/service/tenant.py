@@ -259,20 +259,20 @@ class Tenant:
         )
 
 
-def default_tenants(n, seed=0, replicas=1):
-    """A deterministic mixed fleet: the three paper policies round-
-    robin across ``n`` tenants, with varied distributions and loads."""
-    policies = ("rate_limit", "clusters", "pin_all")
+def default_tenants(n, policies=("rate_limit", "clusters", "pin_all"),
+                    replicas=1):
+    """A deterministic fleet of ``n`` tenants: ``policies`` (the three
+    paper policies by default) round-robin across them, with varied
+    distributions and loads."""
     distributions = ("zipf", "uniform", "hotspot90", "hotspot99")
-    specs = []
-    for i in range(n):
-        policy = policies[i % len(policies)]
-        specs.append(TenantSpec(
+    return [
+        TenantSpec(
             name=f"tenant-{i}",
-            policy=policy,
+            policy=policies[i % len(policies)],
             distribution=distributions[i % len(distributions)],
             arrivals_per_tick=2 + (i % 2),
             quota_pages=128,
             replicas=replicas,
-        ))
-    return specs
+        )
+        for i in range(n)
+    ]
