@@ -1,14 +1,15 @@
 """effects/parallel-purity — ``run_indexed`` workers must be pure.
 
-``repro.parallel.run_indexed`` promises bit-identical results for any
-``--jobs N``; that only holds when every task callable is free of
-ambient writes — module/class globals shared across tasks, or in-place
-mutation of the task item itself (mutations are visible to the caller
-under ``--jobs 1`` but die with the worker process under ``--jobs N``).
-This checker finds every runner call site, resolves the worker
-callable (looking through ``functools.partial`` and decorators — the
-summary belongs to the undecorated def), and requires its *transitive*
-ambient write set to be empty.
+``repro.parallel.run_indexed`` (and ``Sweep.run_grid`` on top of it)
+promises bit-identical results for any ``--jobs N``; that only holds
+when every task callable is free of ambient writes — module/class
+globals shared across tasks, or in-place mutation of the task item
+itself (mutations are visible to the caller under ``--jobs 1`` but die
+with the worker process under ``--jobs N``).  This checker finds every
+runner call site, resolves the worker callable (looking through
+``functools.partial`` and decorators — the summary belongs to the
+undecorated def), and requires its *transitive* ambient write set to be
+empty.  A worker it cannot resolve is a finding: its purity is unchecked.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ def find_runner_sites(project, config):
     """Locate every parallel-runner call site, keyed by module name.
 
     Returns ``{module: [(call_node, worker_info, worker_label), ...]}``
-    in deterministic order; call sites whose worker expression cannot
-    be resolved to a project function are skipped (lambdas and dynamic
-    dispatch cannot be summarized).
+    in deterministic order; ``worker_info`` is ``None`` for a call site
+    whose worker expression does not resolve to a project function
+    (lambdas and dynamic dispatch cannot be summarized).
     """
     sites = {}
     for qual in sorted(project.functions):
@@ -43,12 +44,12 @@ def find_runner_sites(project, config):
                 continue
             position = config.effects_task_runners[chain[-1]]
             worker_expr = _worker_expr(node, position)
-            if worker_expr is None:
-                continue
-            worker = _resolve_worker(project, info.module, worker_expr)
+            worker = None if worker_expr is None else _resolve_worker(
+                project, info.module, worker_expr)
             if worker is None:
-                continue
-            if isinstance(worker_expr, ast.Call):
+                label = "?" if worker_expr is None else \
+                    ast.unparse(worker_expr)
+            elif isinstance(worker_expr, ast.Call):
                 # partial(worker, ...): name the worker, not the wrapper.
                 label = worker.name
             else:
@@ -108,6 +109,15 @@ def check_module(engine, config, sites, mod):
     """Yield purity findings for one module's runner call sites."""
     allowed = config.effects_purity_allowed_writes
     for call, worker, label in sites.get(mod.module, ()):
+        if worker is None:
+            yield Finding(
+                path=mod.path, line=call.lineno, rule=RULE,
+                message=f"parallel task '{label}' does not resolve to a "
+                        f"project function, so its purity is unchecked",
+                hint="pass the worker itself: a module-level function "
+                     "or a functools.partial of one",
+                module=mod.module)
+            continue
         summary = engine.summaries.get(worker.qualname)
         if summary is None:
             continue

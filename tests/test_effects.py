@@ -98,6 +98,28 @@ class TestPurityFixtures:
         assert report.ok(), report.render_text()
 
 
+class TestSweepPurityFixture:
+    def findings(self):
+        report = check_fixture("effects_impure_sweep.py",
+                               "repro.experiments.fixture_impure_sweep")
+        return {f.line: f for f in report.sorted_findings()}
+
+    def test_worker_through_a_parameter_is_one_finding(self):
+        # run_indexed(worker, ...) cannot be summarized: fail closed.
+        finding = self.findings()[23]
+        assert finding.rule == "effects/parallel-purity"
+        assert "'worker'" in finding.message
+        assert "purity is unchecked" in finding.message
+
+    def test_impure_run_handed_to_the_sweep_is_one_finding(self):
+        findings = self.findings()
+        assert findings[27].rule == "effects/parallel-purity"
+        assert "'tally_run' writes ambient shared state" in \
+            findings[27].message
+        # The pure run function on the next line stays silent.
+        assert sorted(findings) == [23, 27]
+
+
 class TestHotPathFixtures:
     def test_hot_fixture_exact_findings(self):
         report = check_fixture("effects_hot_slow.py",
