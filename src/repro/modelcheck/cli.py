@@ -43,7 +43,7 @@ def build_parser():
         help="maximum trace length to explore (default: 3)",
     )
     parser.add_argument(
-        "--max-states", type=int, default=400, metavar="N",
+        "--max-states", type=positive_int, default=400, metavar="N",
         help="distinct-state budget per policy; the cut is "
              "deterministic (default: 400)",
     )

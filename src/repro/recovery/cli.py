@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 
+from repro.cli import at_least
 from repro.clock import Category
 from repro.core.config import SystemConfig
 from repro.core.system import EnclaveProgram
@@ -38,6 +39,12 @@ from repro.runtime.rate_limit import ProgressKind
 POLICIES = ("pin_all", "clusters", "rate_limit", "oram")
 
 EPC_PAGES = 1_024
+
+#: The fewest ops at which every demo stages its attack: below it the
+#: rollback demo's journal never reaches the 8 records that seal its
+#: second checkpoint (so a rollback to the first changes nothing), and
+#: at 2 or fewer the crash injection never fires.
+MIN_OPS = 9
 
 
 def make_program(policy):
@@ -213,9 +220,10 @@ def run(argv=None):
         prog="repro recover",
         description="crash-consistent checkpoint/restore demonstration",
     )
-    parser.add_argument("--ops", type=int, default=60, metavar="N",
-                        help="workload operations per enclave "
-                             "(default: 60)")
+    parser.add_argument("--ops", type=at_least(MIN_OPS), default=60,
+                        metavar="N",
+                        help="workload operations per enclave, at least "
+                             f"{MIN_OPS} (default: 60)")
     parser.add_argument("--policies", nargs="+", default=list(POLICIES),
                         choices=POLICIES, metavar="P",
                         help=f"policies to demo (default: all of "
