@@ -37,7 +37,6 @@ class PolicyConfig:
     oram_tree_pages: int = 262_144           # 1 GB of 4 KiB blocks
     oram_cache_pages: int = 32_768           # 128 MB cache
     oram_oblivious_metadata: bool = False    # True = CoSMIX baseline
-    oram_seed: int = 0x5EED
 
 
 @dataclass

@@ -67,7 +67,6 @@ def build_policy(cfg, layout, clock):
             clock=clock,
             region_start=heap_start,
             oblivious_metadata=spec.oram_oblivious_metadata,
-            seed=spec.oram_seed,
         )
     raise PolicyError(f"unknown policy {spec.name!r}")
 

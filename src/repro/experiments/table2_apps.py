@@ -113,9 +113,7 @@ def run_jpeg(config_name, image_blocks=(192, 192), quota_pages=1_200):
             + [temp_start + i * PAGE_SIZE for i in range(temp_pages)]
         )
         system.runtime.preload(sensitive, pin=True)
-        for name in ("heap",):
-            pass  # heap pages were claimed at launch; release the
-                  # insensitive ranges below.
+        # Heap pages were claimed at launch: release the insensitive ones.
         insensitive = (
             [input_start + i * PAGE_SIZE for i in range(in_pages)]
             + [output_start + i * PAGE_SIZE for i in range(out_pages)]

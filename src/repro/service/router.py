@@ -281,13 +281,7 @@ class EnclaveService:
         except (SgxError, EnclaveTerminated, EnclaveCrashed,
                 HostCallDenied) as exc:
             for r in range(spec.replicas):
-                name = tenant.replica_name(r)
-                self.recovery.teardown(name)
-                gate = self._gates.pop(name, None)
-                if gate is not None:
-                    gate.shutdown()
-                self._engines.pop(name, None)
-                self._addr_pools.pop(name, None)
+                self._teardown(tenant.replica_name(r))
             self._tenant_pools.pop(spec.name, None)
             tenant.departed = True
             self.metrics.arrival_refusals += 1
@@ -342,12 +336,7 @@ class EnclaveService:
                 record = self.recovery.member(member)
                 if record.runtime is not None:
                     held += len(record.runtime.enclave.backed)
-            self.recovery.teardown(member)
-            gate = self._gates.pop(member, None)
-            if gate is not None:
-                gate.shutdown()
-            self._engines.pop(member, None)
-            self._addr_pools.pop(member, None)
+            self._teardown(member)
         freed = self.kernel.epc.free_pages - free_before
         if freed != held:
             self.violations.append(
@@ -355,6 +344,15 @@ class EnclaveService:
                 f"pages but teardown freed {freed}"
             )
         self._retired_pools.append(pool)
+
+    def _teardown(self, member):
+        """Reclaim one replica and drop its gate, engine and pool."""
+        self.recovery.teardown(member)
+        gate = self._gates.pop(member, None)
+        if gate is not None:
+            gate.shutdown()
+        self._engines.pop(member, None)
+        self._addr_pools.pop(member, None)
 
     # -- probes ------------------------------------------------------------
 
@@ -475,11 +473,17 @@ class EnclaveService:
         if handle is None:
             self.skipped_events.append((self.tick, what, "pool-down"))
             return None
+        record = self._running(handle, what)
+        return None if record is None else (handle, record)
+
+    def _running(self, handle, what):
+        """The replica's running record, or ``None`` (with a ``down``
+        skipped-event record for ``what``)."""
         record = self.recovery.member(handle.member_name)
         if record.runtime is None or record.state != RUNNING:
             self.skipped_events.append((self.tick, what, "down"))
             return None
-        return handle, record
+        return record
 
     def _tamper(self, tenant, event):
         """Forge one swapped-out heap blob of the tenant's primary; the
@@ -534,9 +538,8 @@ class EnclaveService:
                 (self.tick, "suspend", "already-suspended")
             )
             return
-        record = self.recovery.member(handle.member_name)
-        if record.runtime is None or record.state != RUNNING:
-            self.skipped_events.append((self.tick, "suspend", "down"))
+        record = self._running(handle, "suspend")
+        if record is None:
             return
         self.kernel.driver.suspend_enclave(record.runtime.enclave)
         handle.suspended = True
@@ -556,9 +559,8 @@ class EnclaveService:
                 (self.tick, "resume", "not-suspended")
             )
             return
-        record = self.recovery.member(handle.member_name)
-        if record.runtime is None or record.state != RUNNING:
-            self.skipped_events.append((self.tick, "resume", "down"))
+        record = self._running(handle, "resume")
+        if record is None:
             return
         enclave = record.runtime.enclave
         need = len(self.kernel.driver.state(enclave).suspend_set)
@@ -688,14 +690,7 @@ class EnclaveService:
                 if reason is None:
                     self.metrics.admitted += 1
                 else:
-                    self._finish(RequestResult(
-                        tenant=request.tenant,
-                        request_id=request.request_id,
-                        outcome=OUTCOME_SHED,
-                        reason=reason,
-                        cycles=0,
-                        fetches=0,
-                    ))
+                    self._finish(self._shed(request, reason))
 
     def _slo_violated(self, tenant):
         """Whether the tenant's own served-latency p95 exceeds its SLO
