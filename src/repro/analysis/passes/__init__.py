@@ -100,8 +100,8 @@ RULE_CATALOG = {
         "translation-affecting mutators must bump the TranslationEpoch "
         "on every path before returning",
     "effects/parallel-purity":
-        "parallel task workers must have empty ambient write sets "
-        "(--jobs N bit-identity)",
+        "parallel task workers must resolve to project functions with "
+        "empty ambient write sets (--jobs N bit-identity)",
     "effects/hot-path-perf":
         "hot-path loops must avoid invariant re-lookup, per-iteration "
         "allocation, and exception control flow",
