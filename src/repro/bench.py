@@ -46,6 +46,7 @@ from statistics import median
 
 from repro.apps.memcached import Memcached
 from repro.apps.uthash import UthashTable
+from repro.cli import writable
 from repro.core.config import SystemConfig
 from repro.core.digest import pin_mismatches, read_pinned
 from repro.core.system import AutarkySystem
@@ -363,6 +364,8 @@ def run(argv=None):
     if args.profile:
         profile_slice(args.profile_slice, top=args.profile_top)
         return 0
+    if not args.no_write:
+        writable(parser, "--output", args.output)
 
     if args.baseline:
         try:

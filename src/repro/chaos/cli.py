@@ -51,7 +51,7 @@ def build_parser():
              "--no-crash removes them from every plan (default: on)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for the sweep; results are identical "
              "to --jobs 1 (default: 1)",
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 import time
 
@@ -81,6 +82,24 @@ def name_list(parser, flag, text, known):
     return names
 
 
+def writable(parser, flag, path, directory=False):
+    """Refuse, as an argparse error (exit 2), an output ``path`` the
+    run could not write when it ends: a file path that is a directory
+    or whose directory does not exist, or with ``directory`` a path
+    that is, or lies under, something other than a directory."""
+    if directory:
+        probe = os.path.abspath(path)
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            parser.error(f"{flag} {path!r}: {probe!r} is not a directory")
+    elif os.path.isdir(path):
+        parser.error(f"{flag} {path!r}: is a directory")
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        parser.error(f"{flag} {path!r}: no such directory "
+                     f"{os.path.dirname(path)!r}")
+
+
 def _resolve(name):
     name = ALIASES.get(name, name)
     if name not in EXPERIMENTS:
@@ -141,7 +160,7 @@ def main(argv=None):
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress progress chatter")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for sweep-style experiments; output is "
              "identical to --jobs 1 (default: 1)",
     )
@@ -158,6 +177,7 @@ def main(argv=None):
         from repro.experiments.report import generate
         out = args.experiment[1] if len(args.experiment) > 1 \
             else "autarky_report.md"
+        writable(parser, "report", out)
         generate(path=out, echo=not args.quiet)
         print(f"report written to {out}")
         return 0

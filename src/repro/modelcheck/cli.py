@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 
-from repro.cli import name_list, positive_int
+from repro.cli import name_list, positive_int, writable
 from repro.modelcheck.explorer import explore
 from repro.modelcheck.export import export_witnesses, witness_payload
 from repro.modelcheck.minimize import minimize
@@ -48,7 +48,7 @@ def build_parser():
              "deterministic (default: 400)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for frontier expansion; results are "
              "bit-identical to --jobs 1 (default: 1)",
     )
@@ -72,6 +72,8 @@ def run(argv=None):
     else:
         policies = name_list(parser, "--policy", args.policy,
                              POLICIES + WORLDS + ("broken",))
+    if args.export:
+        writable(parser, "--export", args.export, directory=True)
     results = []
     for policy in policies:
         result = explore(policy, depth=args.depth,

@@ -24,9 +24,18 @@ takes the direct route for the types a world is made of:
   ``__copy__`` below ``object``, no attribute hooks, and
   ``object.__new__`` — is rebuilt from its ``__dict__`` and its set
   ``__slots__``, as ``copy._reconstruct`` rebuilds it;
-* every other type (sets, deques, ``defaultdict``, classes with their
-  own reduction) goes to ``copy.deepcopy(x, memo)`` on the same memo,
-  so an object reached through both paths is still copied once.
+* a ``set``, ``frozenset``, ``deque``, ``defaultdict``,
+  ``OrderedDict`` or ``random.Random`` of exactly that type is copied
+  in the memo order its reduction gives ``deepcopy``: a set is built
+  from its copied items and memoized after them, a ``defaultdict``'s
+  ``default_factory`` is copied (a bound method rebound) before the
+  dict is built, the other containers are memoized before their
+  items, and a ``Random`` takes the original's state by ``setstate``;
+* only classes with their own reduction — subclasses of those types
+  and an ``OrderedDict`` with instance attributes among them — go to
+  ``copy.deepcopy(x, memo)`` on the same memo, so an object reached
+  through both paths is still copied once.  No object of an explored
+  world does.
 
 Originals stay referenced from the memo until the copy is done, as
 ``deepcopy``'s ``_keep_alive`` keeps them, so no ``id`` is reused
@@ -43,6 +52,8 @@ import functools
 import sys
 import types
 import weakref
+from collections import OrderedDict, defaultdict, deque
+from random import Random
 
 #: Types ``copy.deepcopy`` returns as they are.  ``range`` joined them
 #: in Python 3.10; before that ``deepcopy`` rebuilt ranges.
@@ -80,8 +91,9 @@ def plan(cls):
     """How :func:`clone` copies an instance of ``cls``.
 
     :data:`SHARED` when ``deepcopy`` returns the object itself,
-    :data:`DEEPCOPY` when the instance must go to ``copy.deepcopy``,
-    else the default-reduction layout ``(has_dict, slot_names)``."""
+    :data:`DEEPCOPY` when the class has its own reduction (the
+    containers :func:`clone` copies itself among them), else the
+    default-reduction layout ``(has_dict, slot_names)``."""
     if issubclass(cls, type):
         return SHARED
     if issubclass(cls, enum.Enum):
@@ -158,7 +170,49 @@ def clone(root):
         if layout is SHARED:
             return x
         if layout is DEEPCOPY:
-            return deepcopy(x, memo)
+            # The containers a world holds, in the memo order of their
+            # reductions: a set's items before the set exists, a
+            # defaultdict's factory before the dict, every other
+            # container memoized before its items.
+            if cls is set or cls is frozenset:
+                y = memo[id(x)] = cls([
+                    item if type(item) in atomic else copy_(item)
+                    for item in x])
+                keep_alive(x)
+                return y
+            if cls is deque:
+                y = memo[id(x)] = deque((), x.maxlen)
+                keep_alive(x)
+                append = y.append
+                for item in x:
+                    append(item if type(item) in atomic else copy_(item))
+                return y
+            if cls is Random:
+                # deepcopy builds Random(), seeded from os.urandom only
+                # for setstate to overwrite; from Python 3.11 on,
+                # __new__ leaves the seeding out.
+                y = memo[id(x)] = Random.__new__(Random)
+                keep_alive(x)
+                y.setstate(x.getstate())
+                return y
+            if cls is defaultdict:
+                factory = x.default_factory
+                y = defaultdict(factory if type(factory) in atomic
+                                else copy_(factory))
+            elif cls is OrderedDict and not x.__dict__:
+                # A non-empty instance __dict__ is reduced as state.
+                y = OrderedDict()
+            else:
+                return deepcopy(x, memo)
+            memo[id(x)] = y
+            keep_alive(x)
+            for key, value in x.items():
+                if type(key) not in atomic:
+                    key = copy_(key)
+                if type(value) not in atomic:
+                    value = copy_(value)
+                y[key] = value
+            return y
         y = memo[id(x)] = new(cls)
         keep_alive(x)
         has_dict, slots = layout

@@ -34,7 +34,7 @@ import dataclasses
 import json
 import sys
 
-from repro.cli import positive_int
+from repro.cli import positive_int, writable
 from repro.core.digest import pin_mismatches, read_pinned
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.router import EnclaveService, ServiceConfig, run_service
@@ -97,11 +97,11 @@ def build_parser():
         help=f"fleet size (default: {SMOKE_TENANTS})",
     )
     parser.add_argument(
-        "--ticks", type=int, default=SMOKE_TICKS, metavar="N",
+        "--ticks", type=positive_int, default=SMOKE_TICKS, metavar="N",
         help=f"arrival ticks to drive (default: {SMOKE_TICKS})",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for the sweep; results are identical "
              "to --jobs 1 (default: 1)",
     )
@@ -378,10 +378,12 @@ def run_plan(args):
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.plan:
         return run_plan(args)
     if args.sweep:
+        writable(parser, "--output", args.output)
         return run_contention_sweep(args)
     # --smoke is also the default mode.
     return run_smoke(args)

@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import os
+
 import pytest
 
 from repro.cli import ALIASES, EXPERIMENTS, SUBCOMMANDS, _resolve, main
@@ -45,6 +47,19 @@ def test_subcommand_help_and_bad_flag(command, flag, code, capsys):
     ["modelcheck", "--max-states", "0"],
     ["chaos", "--seeds", "0"],
     ["recover", "--ops", str(MIN_OPS - 1)],
+    ["serve", "--smoke", "--ticks", "0"],
+    ["serve", "--ticks", "-1"],
+    ["chaos", "--seeds", "1", "--policies", "pin_all", "--jobs", "0"],
+    ["modelcheck", "--policy", "pin_all", "--depth", "1", "--jobs", "0"],
+    ["serve", "--sweep", "--seeds", "1", "--no-determinism-check",
+     "--jobs", "-1"],
+    ["modelcheck", "--policy", "pin_all", "--depth", "1",
+     "--export", os.devnull],
+    ["serve", "--sweep", "--seeds", "1", "--no-determinism-check",
+     "--output", "."],
+    ["serve", "--sweep", "--seeds", "1", "--no-determinism-check",
+     "--output", "nodir/x.json"],
+    ["bench", "--output", "."],
 ])
 def test_out_of_range_value_is_refused(argv, tmp_path, monkeypatch,
                                        capsys):
@@ -58,6 +73,28 @@ def test_out_of_range_value_is_refused(argv, tmp_path, monkeypatch,
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith(
         f"repro {argv[0]}: error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "."],
+    ["report", "nodir/report.md"],
+    ["leakage", "-q", "--jobs", "0"],
+])
+def test_main_parser_refuses_out_of_range_value(argv, tmp_path,
+                                                monkeypatch, capsys):
+    # The same refusal from main's own parser, before any section or
+    # experiment runs.
+    from repro.experiments import report as report_module
+    monkeypatch.setattr(report_module, "SECTIONS",
+                        [("E8", "leakage_analysis")])
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("repro: error: ")
     assert not list(tmp_path.iterdir())
 
 

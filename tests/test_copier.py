@@ -13,7 +13,7 @@ import gc
 import itertools
 import random
 import types
-from collections import deque
+from collections import OrderedDict, defaultdict, deque
 
 import pytest
 from hypothesis import given, settings
@@ -236,3 +236,129 @@ def test_shared_and_fallback_types():
     assert plan(Slotted) == (False, ("a", "b"))
     assert plan(Named) == "deepcopy"
     assert_same_graph(node, out, copy.deepcopy(node))
+
+
+def clone_without_fallback(world):
+    """``clone(world)`` while ``copy.deepcopy`` raises: a world's
+    objects never reach the fallback."""
+    def refuse(x, memo=None):
+        raise AssertionError(f"clone handed a {type(x).__name__} to "
+                             "copy.deepcopy")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(copy, "deepcopy", refuse)
+        return clone(world)
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_no_booted_world_reaches_the_fallback(name):
+    world = domain_for(name)[0](name)
+    assert_same_graph(world, clone_without_fallback(world),
+                      copy.deepcopy(world))
+
+
+@settings(max_examples=25, deadline=None)
+@given(explored_worlds())
+def test_no_explored_world_reaches_the_fallback(case):
+    _, world = case
+    assert_same_graph(world, clone_without_fallback(world),
+                      copy.deepcopy(world))
+
+
+class Node:
+    def make(self):
+        self.made += 1
+        return self.made
+
+
+def test_set_items_belong_to_the_copy():
+    node = Node()
+    node.bags = [{node, 1}, frozenset((node, "x"))]
+    root = [node.bags[0], node]
+    for out in (clone(root), copy.deepcopy(root)):
+        copied = out[1]
+        assert copied is not node
+        assert out[0] == {copied, 1}
+        assert copied.bags[1] == frozenset((copied, "x"))
+        # A set is memoized only after its items: the item that refers
+        # back to it while it is being copied holds a set of its own.
+        assert copied.bags[0] == out[0] and copied.bags[0] is not out[0]
+
+
+def test_deque_keeps_maxlen_and_aliasing():
+    node = Node()
+    queue = deque([node, 3, node], maxlen=4)
+    queue.append(queue)
+    out = clone([queue, node])
+    assert out[0].maxlen == 4 and out[0][3] is out[0]
+    assert out[0][0] is out[0][2] is out[1]
+    assert_same_graph([queue, node], out, copy.deepcopy([queue, node]))
+
+
+def test_defaultdict_factory_is_bound_to_the_copy():
+    owner = Node()
+    owner.made = 0
+    owner.table = defaultdict(owner.make, {"a": [owner]})
+    root = [owner.table, owner]
+    out = clone(root)
+    assert_same_graph(root, out, copy.deepcopy(root))
+    table, copied = out
+    assert table.default_factory.__self__ is copied
+    assert table["a"][0] is copied
+    assert table["b"] == 1 and copied.made == 1 and owner.made == 0
+    # The factory is copied before the dict is memoized, so the owner
+    # reached through it holds a dict of its own, as with deepcopy.
+    assert copied.table is not table
+    assert copied.table.default_factory.__self__ is copied
+
+
+def test_ordered_dict_keeps_order_and_aliasing():
+    table = OrderedDict()
+    table["b"] = 1
+    table["a"] = table
+    table["c"] = [table]
+    out = clone(table)
+    assert list(out) == ["b", "a", "c"]
+    assert out["a"] is out and out["c"][0] is out
+    assert_same_graph(table, out, copy.deepcopy(table))
+
+
+def test_random_continues_the_sequence_independently():
+    rng = random.Random(7)
+    rng.random()
+    rng.gauss(0, 1)    # leaves a cached gauss_next in the state
+    out = clone([rng, rng])
+    assert out[0] is out[1] and out[0] is not rng
+    assert type(out[0]) is random.Random
+    assert_same_graph([rng, rng], out, copy.deepcopy([rng, rng]))
+    ahead = [rng.gauss(0, 1), rng.random(), rng.random()]
+    assert [out[0].gauss(0, 1), out[0].random(), out[0].random()] == ahead
+
+
+def test_subclasses_and_own_reductions_keep_the_fallback(monkeypatch):
+    class Tags(set):
+        pass
+
+    class Pair:
+        def __init__(self, left, right):
+            self.left, self.right = left, right
+
+        def __reduce__(self):
+            return Pair, (self.left, self.right)
+
+    labelled = OrderedDict(k=[1])
+    labelled.label = "kept"
+    root = [Tags((1, 2)), Pair(1, [2]), labelled, {3}, deque([4])]
+    reached = []
+    deepcopy = copy.deepcopy
+
+    def spy(x, memo=None):
+        reached.append(type(x))
+        return deepcopy(x, memo)
+
+    monkeypatch.setattr(copy, "deepcopy", spy)
+    out = clone(root)
+    monkeypatch.undo()
+    assert reached == [Tags, Pair, OrderedDict]
+    assert out[2].label == "kept"
+    assert_same_graph(root, out, copy.deepcopy(root))
