@@ -73,3 +73,30 @@ class TestComparisonExperiment:
 
     def test_table_renders(self, rows):
         assert software_defense_cmp.format_table(rows)
+
+    def test_printed_table_is_pinned(self, capsys):
+        # The table ``repro e10`` prints, byte for byte (the padded last
+        # column included); a refactor of the scenarios must not move
+        # one cell.
+        software_defense_cmp.main()
+        assert capsys.readouterr().out == "\n".join((
+            "E10 (extension): software-only AEX-rate defenses vs "
+            "Autarky (§4)",
+            "scenario                        | defense              "
+            "| benign survives | pages leaked | attack detected",
+            "--------------------------------+----------------------"
+            "+-----------------+--------------+----------------",
+            "benign demand paging            | aex-rate (budget 8)  "
+            "| False           | 0            | False          ",
+            "benign demand paging            | autarky              "
+            "| True            | 0            | False          ",
+            "paced fault-injection attack    | aex-rate (budget 24) "
+            "| True            | 120          | False          ",
+            "paced fault-injection attack    | autarky              "
+            "| True            | 0            | True           ",
+            "A/D-bit monitoring (fault-free) | aex-rate (budget 8)  "
+            "| True            | 60           | False          ",
+            "A/D-bit monitoring (fault-free) | autarky              "
+            "| True            | 0            | True           ",
+            "",
+        ))
