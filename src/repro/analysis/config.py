@@ -183,9 +183,9 @@ class AnalysisConfig:
     #: a secret block id by design and reveals nothing.
     taint_page_sinks: dict = _default({
         "data_access": 0, "code_access": 0, "translate": 0,
-        "data_access_run": 0, "touch_run": 0, "access_run": 2,
+        "data_access_run": 0, "access_run": 2,
         "make_run": 0, "replay": 0,
-        "access_pages": 0, "fetch_batch": 0, "evict_batch": 0,
+        "fetch_batch": 0, "evict_batch": 0,
         "page_in": 1, "evict_page": 1,
         "ay_fetch_pages": 1, "ay_evict_pages": 1,
         "claim_pages": 0, "release_pages": 0,
@@ -336,8 +336,7 @@ class AnalysisConfig:
         "PageTable.lookup", "Epcm.check_access",
         "Pte.allows", "TlbEntry.allows",
         # The columnar batch interpreter (PR 9).
-        "ColumnarEngine.execute", "ColumnarEngine._compile",
-        "ReplayFrontend.replay",
+        "ColumnarEngine.execute", "ReplayFrontend.replay",
     }))
 
     #: Rule families with dedicated pass implementations (used by the

@@ -26,7 +26,6 @@ from repro.errors import (
     IntegrityError,
     PolicyError,
 )
-from repro.sgx.columnar import PageRun
 from repro.sgx.params import PAGE_SIZE, AccessType, SgxVersion
 from repro.runtime.allocator import ClusteringAllocator
 from repro.runtime.clusters import ClusterManager
@@ -143,10 +142,6 @@ class GrapheneRuntime:
             granularity=code_cluster_granularity,
         )
         self.allocator = None  # created by configure_heap()
-        #: Cached (start, npages) -> PageRun plans for touch_run on the
-        #: columnar tier; plans are stamp-guarded, so staleness is
-        #: impossible by construction (see repro.sgx.columnar).
-        self._touch_plans = {}
 
         #: True while a legitimate app entry is in flight, so spurious
         #: EENTERs (handler re-entrancy, §5.3) can be told apart.
@@ -301,41 +296,6 @@ class GrapheneRuntime:
     def access(self, vaddr, access=AccessType.READ):
         """One enclave memory access through the full hardware path."""
         return self.kernel.cpu.access(self.enclave, self.tcs, vaddr, access)
-
-    def access_pages(self, vaddrs, access=AccessType.READ):
-        """Batched accesses: one call into the CPU's run engine instead
-        of N full call chains.  Same faults, same counters, same cycle
-        charges as the equivalent :meth:`access` loop.  ``vaddrs`` may
-        be a planned :class:`~repro.sgx.columnar.PageRun`, which the
-        run engine executes columnar-first on that tier."""
-        return self.kernel.cpu.access_run(
-            self.enclave, self.tcs, vaddrs, access
-        )
-
-    def touch_run(self, start, npages, access=AccessType.READ,
-                  compute_cycles=0):
-        """Touch ``npages`` consecutive pages from ``start``, optionally
-        charging ``compute_cycles`` of application work per page (one
-        bulk charge of ``npages * compute_cycles``).
-
-        Repeating touches plan once: on the columnar tier the
-        ``(start, npages)`` run is packed into a cached
-        :class:`~repro.sgx.columnar.PageRun`, so a steady-state re-touch
-        executes as one bulk step instead of ``npages`` probes."""
-        if self.kernel.cpu.columnar is not None:
-            run = self._touch_plans.get((start, npages))
-            if run is None:
-                run = PageRun(
-                    [start + i * PAGE_SIZE for i in range(npages)]
-                )
-                self._touch_plans[(start, npages)] = run
-        else:
-            run = [start + i * PAGE_SIZE for i in range(npages)]
-        self.kernel.cpu.access_run(self.enclave, self.tcs, run, access)
-        if compute_cycles:
-            self.kernel.clock.charge(
-                npages * compute_cycles, Category.COMPUTE
-            )
 
     def compute(self, cycles):
         """Application work between memory accesses."""

@@ -22,7 +22,6 @@ import enum
 
 from repro.clock import Category
 from repro.errors import EnclaveTerminated, PageFault, SgxError
-from repro.sgx.columnar import PageRun, column_list
 from repro.sgx.params import PAGE_SHIFT, ArchOptimizations, page_base
 from repro.sgx.ssa import ExitInfo, SsaFrame
 
@@ -55,8 +54,9 @@ class Cpu:
         #: each completed entry/exit transition.
         self.op_observer = None
         #: Columnar batch interpreter (repro.sgx.columnar), attached by
-        #: the kernel when the fast-path tier is "columnar"; ``None``
-        #: keeps run execution on the PR 4 memo/replay path.
+        #: the kernel when the fast-path tier is "columnar" and ``None``
+        #: at tier off.  The CPU never runs it: the access engines'
+        #: replay frontends find it here.
         self.columnar = None
         #: Event counters for experiments.
         self.aex_count = 0
@@ -106,18 +106,12 @@ class Cpu:
         steady-state run of N pages costs N dict probes rather than N
         full call chains.  Returns the list of PFNs.
 
-        A :class:`~repro.sgx.columnar.PageRun` plan additionally tries
-        the columnar interpreter first: a compiled (or compilable)
-        fault-free run resolves in one bulk step; anything else — a
-        non-resident page, an epoch bump since compilation — falls
-        through to the memo probe and the sequential replay below.
+        ``vaddrs`` may be any iterable, a
+        :class:`~repro.sgx.columnar.PageRun` included: its columnar
+        caller (:class:`~repro.sgx.columnar.ReplayFrontend`) has already
+        tried to compile it, so here it is only the addresses it yields.
         """
         enclave.require_alive()
-        columnar = self.columnar
-        if columnar is not None and type(vaddrs) is PageRun:
-            pfns = columnar.execute(vaddrs, access)
-            if pfns is not None:
-                return column_list(pfns)
         mmu = self.mmu
         # Optimistic probe: memo probes have no side effects, so the
         # whole run can be resolved in one C-speed pass when every page

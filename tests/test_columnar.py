@@ -11,8 +11,8 @@ extended to whole compiled runs.
 
 Direct unit tests of the plan (:class:`PageRun`) and the
 compile/execute engine cover the pieces the end-to-end sweeps cannot
-isolate: packing, the sequence protocol, per-access-type columns,
-permission-checked compilation, and stamp invalidation on epoch bumps.
+isolate: packing, iteration, compilation over a read-only mapping,
+all-or-nothing compilation, and stamp invalidation on epoch bumps.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from repro.sgx.columnar import (
     TIER_OFF,
     TIERS,
     PageRun,
-    as_run,
-    column_list,
     normalize_tier,
     pack_column,
 )
@@ -283,21 +281,14 @@ class TestPageRunUnit:
         vaddrs = [0x10000, 0x23000, 0x10000]
         run = PageRun(vaddrs)
         assert run.n == 3
-        assert column_list(run.vpns) == [v >> PAGE_SHIFT for v in vaddrs]
+        assert list(run.vpns) == [v >> PAGE_SHIFT for v in vaddrs]
         assert pack_column([1, 2])[1] == 2
 
     def test_sequence_protocol(self):
         vaddrs = (0x10000, 0x23000)
         run = PageRun(vaddrs)
-        assert len(run) == 2
         assert list(run) == list(vaddrs)
-        assert run[1] == 0x23000
         assert "PageRun" in repr(run)
-
-    def test_as_run_passthrough(self):
-        run = PageRun([0x10000])
-        assert as_run(run) is run
-        assert type(as_run([0x10000])) is PageRun
 
     def test_normalize_tier(self):
         assert TIERS == (TIER_OFF, TIER_COLUMNAR)
@@ -331,9 +322,9 @@ class TestPageRunUnit:
         run = PageRun(vaddrs)
         engine = kernel.cpu.columnar
         hits, cycles = kernel.tlb.hits, kernel.clock.cycles
-        first = engine.execute(run, AccessType.READ)
-        again = engine.execute(run, AccessType.READ)
-        assert column_list(first) == [10, 11, 12, 13]
+        first = engine.execute(run)
+        again = engine.execute(run)
+        assert list(first) == [10, 11, 12, 13]
         assert again is first      # stamp hit reuses the column
         assert kernel.tlb.hits == hits + 2 * run.n
         assert kernel.clock.cycles == cycles    # hits charge nothing
@@ -344,38 +335,19 @@ class TestPageRunUnit:
         self._map_and_warm(kernel, vaddrs)
         run = PageRun(vaddrs)
         engine = kernel.cpu.columnar
-        assert engine.execute(run, AccessType.READ) is not None
-        stamp, _ = run.column(AccessType.READ)
+        assert engine.execute(run) is not None
+        stamp = run.stamp
         kernel.page_table.unmap(vaddrs[2])      # bumps the epoch
         assert kernel.epoch.value != stamp
         # Recompile fails all-or-nothing: one page left the TLB.
-        assert engine.execute(run, AccessType.READ) is None
-
-    def test_per_access_type_columns(self):
-        kernel = self._kernel()
-        vaddrs = [0x10000 + i * PAGE_SIZE for i in range(3)]
-        self._map_and_warm(kernel, vaddrs, writable=True)
-        for vaddr in vaddrs:
-            kernel.mmu.translate(vaddr, AccessType.WRITE)
-        run = PageRun(vaddrs)
-        engine = kernel.cpu.columnar
-        assert engine.execute(run, AccessType.READ) is not None
-        assert engine.execute(run, AccessType.WRITE) is not None
-        stamp_r, col_r = run.column(AccessType.READ)
-        stamp_w, col_w = run.column(AccessType.WRITE)
-        assert stamp_r == stamp_w == kernel.epoch.value
-        assert column_list(col_r) == column_list(col_w)
-        assert col_r is not col_w   # separate columns per access type
+        assert engine.execute(run) is None
 
     def test_compile_checks_permissions(self):
         kernel = self._kernel()
         vaddrs = [0x10000 + i * PAGE_SIZE for i in range(3)]
         self._map_and_warm(kernel, vaddrs, writable=False)
         run = PageRun(vaddrs)
-        engine = kernel.cpu.columnar
-        assert engine.execute(run, AccessType.READ) is not None
-        assert engine.execute(run, AccessType.WRITE) is None
-        assert engine.execute(run, AccessType.EXEC) is None
+        assert kernel.cpu.columnar.execute(run) is not None
 
     def test_compile_all_or_nothing(self):
         kernel = self._kernel()
@@ -383,9 +355,7 @@ class TestPageRunUnit:
         self._map_and_warm(kernel, vaddrs)
         hits = kernel.tlb.hits
         stranger = PageRun(vaddrs + [0x90000])   # last page not mapped
-        assert kernel.cpu.columnar.execute(
-            stranger, AccessType.READ,
-        ) is None
+        assert kernel.cpu.columnar.execute(stranger) is None
         assert kernel.tlb.hits == hits           # miss has no effects
 
     def test_off_tier_has_no_columnar_engine(self):

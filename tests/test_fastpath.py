@@ -123,7 +123,8 @@ def _drive_mixed(system, npages=160, steps=400, seed=5):
         pfns.append(runtime.access(vaddr, access))
         if i % 5 == 4:
             run = [rng.choice(pool) for _ in range(6)]
-            pfns.extend(runtime.access_pages(run, AccessType.READ))
+            pfns.extend(system.kernel.cpu.access_run(
+                runtime.enclave, runtime.tcs, run, AccessType.READ))
         if i % 16 == 15:
             engine.progress(ProgressKind.SYSCALL)
     return pfns
@@ -203,7 +204,8 @@ class TestInvalidationEquivalence:
                 if i % 29 == 11:
                     kernel.page_table.unmap(rng.choice(touched))
                 if i % 6 == 5:
-                    pfns.extend(runtime.access_pages(
+                    pfns.extend(kernel.cpu.access_run(
+                        runtime.enclave, runtime.tcs,
                         [rng.choice(touched) for _ in range(4)],
                         AccessType.READ,
                     ))
