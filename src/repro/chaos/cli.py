@@ -18,7 +18,7 @@ from repro.chaos.campaign import (
     run_campaign,
     run_plan,
 )
-from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan
+from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan, check_keys
 from repro.cli import name_list, positive_int
 
 #: A sweep must fire at least this many distinct fault kinds, or the
@@ -110,6 +110,8 @@ def _replay_plan(args, policies):
             payload = json.load(handle)
         expected = None
         if "plan" in payload:  # model-checker witness wrapper
+            check_keys(payload, ("plan", "policy", "expected_outcome",
+                                 "source_trace"), "envelope")
             if payload.get("policy"):
                 policies = (payload["policy"],)
             expected = payload.get("expected_outcome")

@@ -236,14 +236,31 @@ class FaultPlan:
     @classmethod
     def from_json(cls, payload):
         """Rebuild a plan from :meth:`to_json` output.  Unknown kind
-        strings raise ``ValueError`` — a witness written by a newer
-        tree must not silently replay as a weaker plan."""
-        events = tuple(
-            FaultEvent(
+        strings and unknown keys raise ``ValueError`` — a witness
+        written by a newer tree, or with a misspelt key, must not
+        silently replay as a weaker plan."""
+        check_keys(payload, ("seed", "events"), "plan")
+        events = []
+        for e in payload["events"]:
+            check_keys(e, ("kind", "at_op", "param"), "event")
+            events.append(FaultEvent(
                 kind=FaultKind(e["kind"]),
                 at_op=int(e["at_op"]),
                 param=int(e.get("param", 1)),
-            )
-            for e in payload["events"]
-        )
-        return cls(seed=int(payload.get("seed", 0)), events=events)
+            ))
+        return cls(seed=int(payload.get("seed", 0)), events=tuple(events))
+
+
+def check_keys(payload, known, where):
+    """Raise ``ValueError`` naming every key of the JSON object
+    ``payload`` that ``known`` lacks (``TypeError`` if it is not an
+    object).  Both ``--plan`` readers (``repro chaos`` and ``repro
+    serve``) check every object they read with it, so a misspelt key
+    is refused instead of being skipped along with the check or the
+    field it was meant to set."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"{where} must be a JSON object")
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: "
+                         f"{', '.join(unknown)}")

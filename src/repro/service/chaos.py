@@ -36,6 +36,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.chaos.plan import check_keys
+
 
 class ServiceFaultKind(str, Enum):
     TENANT_BURST = "tenant-burst"
@@ -72,6 +74,8 @@ class ServiceFaultEvent:
 
     @staticmethod
     def from_json(payload):
+        check_keys(payload, ("kind", "at_tick", "tenant_index", "param",
+                             "duration"), "event")
         try:
             kind = ServiceFaultKind(payload["kind"])
         except ValueError:
@@ -122,6 +126,7 @@ class ServiceFaultPlan:
 
     @staticmethod
     def from_json(payload):
+        check_keys(payload, ("seed", "ticks", "events"), "plan")
         events = tuple(
             ServiceFaultEvent.from_json(entry)
             for entry in payload.get("events", ())

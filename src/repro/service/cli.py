@@ -34,6 +34,7 @@ import dataclasses
 import json
 import sys
 
+from repro.chaos.plan import check_keys
 from repro.cli import positive_int, writable
 from repro.core.digest import pin_mismatches, read_pinned
 from repro.service.chaos import ServiceFaultPlan
@@ -289,13 +290,23 @@ def run_contention_sweep(args):
 
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(TenantSpec)}
 
+#: ``expected_outcome`` floors: key -> the result's count it bounds.
+_FLOORS = {
+    "min_failovers": lambda result: result.failovers,
+    "min_quarantines": lambda result: result.quarantines,
+    "min_recoveries": lambda result: result.recoveries,
+    "min_completed": lambda result: result.outcome_counts["completed"],
+    "min_breaker_trips": lambda result: result.breaker_trips,
+}
+
 
 def _spec_from_json(payload):
-    known = {k: v for k, v in payload.items() if k in _SPEC_FIELDS}
-    return TenantSpec(**known)
+    check_keys(payload, _SPEC_FIELDS, "tenant")
+    return TenantSpec(**payload)
 
 
 def _config_from_json(payload, plan):
+    check_keys(payload, ("seed", "tenants", "epc_pages", "ticks"), "config")
     tenants = [
         _spec_from_json(entry) for entry in payload.get("tenants", ())
     ] or default_tenants(4, replicas=2)
@@ -316,7 +327,12 @@ def run_plan(args):
         with open(args.plan, encoding="utf-8") as handle:
             payload = json.load(handle)
         envelope = payload if "plan" in payload else {"plan": payload}
+        check_keys(envelope, ("plan", "config", "expected_outcome",
+                              "description", "source"), "envelope")
         plan = ServiceFaultPlan.from_json(envelope["plan"])
+        expected = envelope.get("expected_outcome", {})
+        check_keys(expected, (*_FLOORS, "outcome_class"),
+                   "expected_outcome")
         services = [
             EnclaveService(
                 _config_from_json(envelope.get("config", {}), plan))
@@ -327,21 +343,13 @@ def run_plan(args):
               file=sys.stderr)
         return 2
     result, rerun = [service.run() for service in services]
-    expected = envelope.get("expected_outcome", {})
     checks = {
         "safe": result.safe,
         "digest_equal": result.digest == rerun.digest,
     }
-    floors = {
-        "min_failovers": result.failovers,
-        "min_quarantines": result.quarantines,
-        "min_recoveries": result.recoveries,
-        "min_completed": result.outcome_counts["completed"],
-        "min_breaker_trips": result.breaker_trips,
-    }
-    for key, actual in floors.items():
+    for key, actual in _FLOORS.items():
         if key in expected:
-            checks[key] = actual >= int(expected[key])
+            checks[key] = actual(result) >= int(expected[key])
     if "outcome_class" in expected:
         from repro.service.sweep import classify
         checks["outcome_class"] = (

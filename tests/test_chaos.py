@@ -56,6 +56,21 @@ from repro.runtime.backoff import RetryPolicy, call_with_retry
 from repro.runtime.rate_limit import ProgressKind
 
 FIXTURES = Path(__file__).parent / "fixtures" / "chaos"
+WITNESS = "rate_limit_unmap_resident_witness.json"
+
+
+def misspelt(fixture, path, key, value, drop=None):
+    """The committed ``fixture`` as JSON text, with ``key: value`` set
+    and ``drop`` removed in the object the keys and indexes of
+    ``path`` lead to."""
+    payload = json.loads((FIXTURES / fixture).read_text())
+    target = payload
+    for step in path:
+        target = target[step]
+    target.pop(drop, None)
+    target[key] = value
+    return json.dumps(payload)
+
 
 # -- fault plans --------------------------------------------------------------
 
@@ -572,13 +587,24 @@ class TestChaosCli:
          [{"kind": "crash-enclave", "at_op": 400, "param": 1}]),
         ("no-magnitude.json",
          [{"kind": "deny-fetch", "at_op": 10, "param": -1}]),
+        # The committed witness with one key misspelt: each replayed
+        # as "verdict: OK", the outcome check or the key skipped.
+        pytest.param(
+            "expected-outcomes.json",
+            misspelt(WITNESS, (), "expected_outcomes", "completed",
+                     drop="expected_outcome"),
+            id="expected-outcomes.json"),
+        pytest.param(
+            "at-tick-beside-at-op.json",
+            misspelt(WITNESS, ("plan", "events", 0), "at_tick", 3),
+            id="at-tick-beside-at-op.json"),
     ])
     def test_unusable_plan_is_one_error_line(self, tmp_path, capsys,
                                               name, events):
-        # A plan the campaign cannot read, or with an event it can
-        # never fire (op 400 of a 240-op run, a denial of -1 calls),
-        # is refused up front instead of tracing back or replaying as
-        # an empty plan that prints "verdict: OK".
+        # A plan the campaign cannot read, with a key it does not know,
+        # or with an event it can never fire (op 400 of a 240-op run,
+        # a denial of -1 calls), is refused up front instead of tracing
+        # back or replaying as a weaker plan that prints "verdict: OK".
         from repro.chaos.cli import run
         plan = tmp_path / name
         if isinstance(events, str):

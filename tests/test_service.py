@@ -52,6 +52,9 @@ from repro.service.sweep import (
     sweep_report,
 )
 from repro.service.tenant import Tenant, TenantSpec, default_tenants
+from tests.test_chaos import misspelt
+
+WITNESS = "service_pool_failover_witness.json"
 
 
 # -- admission primitives -----------------------------------------------------
@@ -640,12 +643,29 @@ class TestFrozenWitness:
         ("late-storm.json", json.dumps({"seed": 0, "ticks": 10, "events": [
             {"kind": "aex-storm", "at_tick": 50, "tenant_index": 0,
              "param": 4}]})),
+        # The committed witness with one key misspelt: each replayed
+        # as "verdict: OK", the floor or the tenant's policy skipped.
+        pytest.param(
+            "min-failover.json",
+            misspelt(WITNESS, (), "expected_outcome", {"min_failover": 99}),
+            id="min-failover.json"),
+        pytest.param(
+            "expected-outcomes.json",
+            misspelt(WITNESS, (), "expected_outcomes",
+                     {"min_completed": 10 ** 9}, drop="expected_outcome"),
+            id="expected-outcomes.json"),
+        pytest.param(
+            "polciy.json",
+            misspelt(WITNESS, ("config", "tenants", 0), "polciy", "pin_all",
+                     drop="policy"),
+            id="polciy.json"),
     ])
     def test_unusable_plan_is_one_error_line(self, tmp_path, capsys,
                                               name, text):
-        # A plan the service cannot read, or with an event its clock
-        # can never reach (tick 50 of a 10-tick run), is refused up
-        # front instead of tracing back or replaying as "OK".
+        # A plan the service cannot read, with a key it does not know,
+        # or with an event its clock can never reach (tick 50 of a
+        # 10-tick run), is refused up front instead of tracing back or
+        # replaying as "OK".
         from repro.service.cli import run
         plan = tmp_path / name
         if text is not None:
