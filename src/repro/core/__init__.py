@@ -3,7 +3,7 @@
 Most users need only :class:`~repro.core.system.AutarkySystem`:
 
 >>> from repro.core import AutarkySystem, SystemConfig
->>> system = AutarkySystem(SystemConfig(policy="rate_limit"))
+>>> system = AutarkySystem(SystemConfig.for_policy("rate_limit"))
 >>> engine = system.engine()
 
 and the metrics helpers in :mod:`repro.core.metrics`.

@@ -4,9 +4,14 @@
 reproduction and prints PASS/FAIL per claim — the checklist an
 artifact-evaluation committee would walk, runnable in about a minute.
 
-Each claim is a named predicate over a (scaled-down) experiment run;
-the same predicates back the assertions in ``benchmarks/``, so this is
-the quick interactive twin of the benchmark suite.
+Each claim is a named predicate over a (scaled-down) experiment run.
+The paper-claim tests in ``benchmarks/`` do not share these
+predicates: they check claims on their own runs with their own
+thresholds, which may be stricter.  E3b here wants uncached ORAM more
+than 30x slower than cached ORAM, while
+``benchmarks/test_bench_fig6_clusters_oram.py`` asserts more than 50x.
+So a PASS here is a quick interactive check, not the benchmark suite's
+verdict.
 """
 
 from __future__ import annotations

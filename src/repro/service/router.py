@@ -125,7 +125,8 @@ class ServiceConfig:
     ticks: int = 24
     #: Bounded run queue — the only place requests wait.
     queue_capacity: int = 16
-    #: Fault plan; None generates one from the seed, () disables.
+    #: Fault plan; None generates one from the seed, and a
+    #: ServiceFaultPlan with no events disables faults.
     fault_plan: Optional[ServiceFaultPlan] = None
     #: Live churn: ``(tick, TenantSpec)`` pairs booted mid-run and
     #: ``(tick, name)`` pairs retired mid-run (drain-before-retire).

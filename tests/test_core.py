@@ -1,5 +1,7 @@
 """Core package tests: config, system assembly, metrics, leakage math."""
 
+import doctest
+import importlib
 import math
 
 import pytest
@@ -60,6 +62,13 @@ class TestSystemAssembly:
     def test_engine_region_lookup(self, small_system):
         engine = small_system("rate_limit").engine()
         assert engine.region("heap").npages > 0
+
+    @pytest.mark.parametrize("package", ["repro", "repro.core"])
+    def test_package_docstring_examples_run(self, package):
+        # Each package docstring's API tour must run as written.
+        result = doctest.testmod(importlib.import_module(package))
+        assert result.attempted > 0
+        assert result.failed == 0
 
 
 class TestMetrics:

@@ -421,6 +421,20 @@ class TestServiceRun:
         assert other.digest != smoke_result.digest
         assert other.safe, other.violations
 
+    def test_a_plan_with_no_events_disables_faults(self, smoke_result):
+        # The smoke run's generated plan trips a breaker and aborts
+        # requests; the same run under an event-free plan does neither.
+        quiet = ServiceFaultPlan(seed=0, ticks=20, events=())
+        service = EnclaveService(
+            ServiceConfig(seed=0, ticks=20, fault_plan=quiet))
+        assert service.plan is quiet
+        result = service.run()
+        assert smoke_result.breaker_trips >= 1
+        assert (result.breaker_trips, result.recoveries,
+                result.outcome_counts[OUTCOME_ABORTED]) == (0, 0, 0)
+        assert service.metrics.aex_interrupts == 0
+        assert result.safe, result.violations
+
 
 class TestProbesAndDegradation:
     def test_ready_and_health_probes(self):
