@@ -130,11 +130,6 @@ class AbortStats:
         """Reason → count, sorted by reason for stable reports."""
         return dict(sorted(self.by_reason.items()))
 
-    def merge(self, other):
-        for key, count in other.by_reason.items():
-            self.by_reason[key] = self.by_reason.get(key, 0) + count
-        return self
-
 
 def slowdown(baseline, subject):
     """Throughput ratio baseline/subject (1.0 = no overhead)."""

@@ -295,10 +295,6 @@ class SelfPager:
                 return evicted
             evicted += self.evict_unit(unit)
 
-    def pin(self, vaddrs):
-        for vaddr in vaddrs:
-            self._pinned.add(vpn_of(vaddr))
-
     # -- canonical-state accessors (repro.recovery fingerprints) -----------
 
     def snapshot_queue(self):
