@@ -1476,3 +1476,26 @@ class TestWholeTree:
     def test_config_families_cover_passes(self):
         from repro.analysis.passes import rule_families
         assert set(rule_families()) == set(DEFAULT_CONFIG.rule_families)
+
+    def test_configured_function_names_are_defined(self):
+        # A config entry naming a function the tree lacks turns its
+        # rule off for that name without a word, e.g. a page sink
+        # left behind when the function is deleted or renamed.
+        functions, methods = set(), set()
+        root = Path(__file__).parent.parent / "src" / "repro"
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef):
+                    functions.add(node.name)
+                elif isinstance(node, ast.ClassDef):
+                    methods.update(
+                        f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        config = DEFAULT_CONFIG
+        bare = {*config.taint_page_sinks, *config.effects_task_runners,
+                *config.accounting_exempt_names}
+        assert sorted(bare - functions) == []
+        assert sorted(
+            name for name in config.effects_hot_functions
+            if name not in (methods if "." in name else functions)
+        ) == []
