@@ -55,144 +55,111 @@ def _autarky_system():
     ))
 
 
-def _benign_paging(runtime, watchdog=None, pages=600, period=16):
-    """A workload that legitimately demand-pages (WS > quota)."""
-    heap = runtime.regions["heap"]
-    for i in range(pages):
-        if watchdog is not None and i % period == 0:
-            watchdog.checkpoint()
-        runtime.access(heap.page(i), AccessType.WRITE)
+def _targets(system):
+    """The heap pages every probe attack targets."""
+    heap = system.runtime.regions["heap"]
+    return [heap.page(i) for i in range(16)]
+
+
+def _contenders(threshold, targets=False):
+    """Boot each scenario's two contenders in table order, one at a
+    time, and yield ``(defense, system, watchdog)``: the legacy enclave
+    guarded by an AEX-rate watchdog of ``threshold``, then Autarky,
+    which needs none.  With ``targets`` the attacked pages are made
+    resident before the watchdog starts counting (the OS pages them
+    in for the legacy enclave; Autarky pins them)."""
+    system = _legacy_system()
+    if targets:
+        system.runtime.preload_os(_targets(system))
+    yield (f"aex-rate (budget {threshold})", system,
+           AexRateDefense(system.kernel, system.enclave, threshold))
+    system = _autarky_system()
+    if targets:
+        system.runtime.preload(_targets(system), pin=True)
+    yield "autarky", system, None
+
+
+def _terminated(watchdog, steps, step, period=1):
+    """Run ``step(i)`` for ``i`` in ``range(steps)``, the watchdog (if
+    any) checkpointing before every ``period``-th step; True iff the
+    enclave was terminated on the way."""
+    try:
+        for i in range(steps):
+            if watchdog is not None and i % period == 0:
+                watchdog.checkpoint()
+            step(i)
+    except EnclaveTerminated:
+        return True
+    return False
 
 
 def scenario_false_positives(threshold=8):
-    """Scenario 1: the watchdog kills a benign paging workload."""
+    """Scenario 1: the watchdog kills a benign workload that
+    legitimately demand-pages: it writes 600 heap pages, more than its
+    quota holds, and checkpoints every 16."""
     rows = []
+    for defense, system, watchdog in _contenders(threshold):
+        heap = system.runtime.regions["heap"]
+        killed = _terminated(
+            watchdog, 600,
+            lambda i: system.runtime.access(heap.page(i), AccessType.WRITE),
+            period=16,
+        )
+        rows.append(DefenseRow(
+            "benign demand paging", defense, not killed, 0, False,
+        ))
+    return rows
 
-    system = _legacy_system()
-    watchdog = AexRateDefense(system.kernel, system.enclave, threshold)
-    survived = True
-    try:
-        _benign_paging(system.runtime, watchdog)
-    except EnclaveTerminated:
-        survived = False
-    rows.append(DefenseRow(
-        "benign demand paging", f"aex-rate (budget {threshold})",
-        survived, 0, False,
-    ))
 
-    system = _autarky_system()
-    survived = True
-    try:
-        _benign_paging(system.runtime)
-    except EnclaveTerminated:
-        survived = False
-    rows.append(DefenseRow(
-        "benign demand paging", "autarky", survived, 0, False,
-    ))
+def _probe_attack(scenario, threshold, probes, arm):
+    """Both contenders' rows for one attack on the target pages, which
+    the victim reads round-robin ``probes`` times; on the legacy
+    enclave the victim's own loop checkpoints before each read.
+
+    ``arm(system, pages)`` arms the attacker and returns ``(sample,
+    leaked)``: a hook run after each read (or ``None``) and a function
+    counting the pages the attacker learned."""
+    rows = []
+    for defense, system, watchdog in _contenders(threshold, targets=True):
+        pages = _targets(system)
+        sample, leaked = arm(system, pages)
+
+        def step(i):
+            system.runtime.access(pages[i % len(pages)], AccessType.READ)
+            if sample is not None:
+                sample()
+
+        detected = _terminated(watchdog, probes, step)
+        rows.append(DefenseRow(scenario, defense, True, leaked(), detected))
     return rows
 
 
 def scenario_paced_attack(threshold=24, probes=120):
     """Scenario 2: the attacker paces fault injection under the
-    (loosened) threshold and traces pages anyway."""
-    rows = []
-
-    system = _legacy_system()
-    heap = system.runtime.regions["heap"]
-    pages = [heap.page(i) for i in range(16)]
-    system.runtime.preload_os(pages)
-    watchdog = AexRateDefense(system.kernel, system.enclave, threshold)
-    tracer = PageFaultTracer(system.kernel, system.enclave, pages)
-    system.attach_attacker(tracer)
-    tracer.arm()
-    detected = False
-    try:
-        for i in range(probes):
-            # The victim's own loop checkpoints; the attacker's pace
-            # (one traced fault per iteration) stays under budget.
-            watchdog.checkpoint()
-            system.runtime.access(pages[i % len(pages)],
-                                  AccessType.READ)
-    except EnclaveTerminated:
-        detected = True
-    rows.append(DefenseRow(
-        "paced fault-injection attack", f"aex-rate (budget {threshold})",
-        True, len(tracer.log.trace), detected,
-    ))
-
-    system = _autarky_system()
-    heap = system.runtime.regions["heap"]
-    pages = [heap.page(i) for i in range(16)]
-    system.runtime.preload(pages, pin=True)
-    tracer = PageFaultTracer(system.kernel, system.enclave, pages)
-    system.attach_attacker(tracer)
-    tracer.arm()
-    detected = False
-    try:
-        for i in range(probes):
-            system.runtime.access(pages[i % len(pages)],
-                                  AccessType.READ)
-    except EnclaveTerminated:
-        detected = True
-    leaked = sum(1 for v in tracer.log.trace
-                 if v != system.enclave.base)
-    rows.append(DefenseRow(
-        "paced fault-injection attack", "autarky",
-        True, leaked, detected,
-    ))
-    return rows
+    (loosened) threshold — one traced fault per victim iteration — and
+    traces pages anyway."""
+    def arm(system, pages):
+        tracer = PageFaultTracer(system.kernel, system.enclave, pages)
+        system.attach_attacker(tracer)
+        tracer.arm()
+        # Autarky reports every fault at the enclave base (§5.1.2),
+        # which names no page.
+        return None, lambda: sum(
+            1 for v in tracer.log.trace if v != system.enclave.base)
+    return _probe_attack(
+        "paced fault-injection attack", threshold, probes, arm)
 
 
 def scenario_silent_channel(threshold=8, probes=60):
     """Scenario 3: the fault-free A/D-bit monitor — invisible to AEX
     counting at any threshold."""
-    rows = []
-
-    system = _legacy_system()
-    heap = system.runtime.regions["heap"]
-    pages = [heap.page(i) for i in range(16)]
-    system.runtime.preload_os(pages)
-    watchdog = AexRateDefense(system.kernel, system.enclave, threshold)
-    monitor = AdBitMonitor(system.kernel, system.enclave, pages)
-    monitor.arm()
-    observed = 0
-    detected = False
-    try:
-        for i in range(probes):
-            watchdog.checkpoint()
-            system.runtime.access(pages[i % len(pages)],
-                                  AccessType.READ)
-            accessed, _w = monitor.sample()
-            observed += len(accessed)
-    except EnclaveTerminated:
-        detected = True
-    rows.append(DefenseRow(
-        "A/D-bit monitoring (fault-free)",
-        f"aex-rate (budget {threshold})",
-        True, observed, detected,
-    ))
-
-    system = _autarky_system()
-    heap = system.runtime.regions["heap"]
-    pages = [heap.page(i) for i in range(16)]
-    system.runtime.preload(pages, pin=True)
-    monitor = AdBitMonitor(system.kernel, system.enclave, pages)
-    monitor.arm()
-    observed = 0
-    detected = False
-    try:
-        for i in range(probes):
-            system.runtime.access(pages[i % len(pages)],
-                                  AccessType.READ)
-            accessed, _w = monitor.sample()
-            observed += len(accessed)
-    except EnclaveTerminated:
-        detected = True
-    rows.append(DefenseRow(
-        "A/D-bit monitoring (fault-free)", "autarky",
-        True, observed, detected,
-    ))
-    return rows
+    def arm(system, pages):
+        monitor = AdBitMonitor(system.kernel, system.enclave, pages)
+        monitor.arm()
+        return monitor.sample, lambda: sum(
+            len(accessed) for accessed in monitor.access_trace())
+    return _probe_attack(
+        "A/D-bit monitoring (fault-free)", threshold, probes, arm)
 
 
 def run():
