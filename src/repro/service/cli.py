@@ -333,6 +333,8 @@ def run_plan(args):
         expected = envelope.get("expected_outcome", {})
         check_keys(expected, (*_FLOORS, "outcome_class"),
                    "expected_outcome")
+        floors = {key: int(expected[key])
+                  for key in _FLOORS if key in expected}
         services = [
             EnclaveService(
                 _config_from_json(envelope.get("config", {}), plan))
@@ -347,9 +349,8 @@ def run_plan(args):
         "safe": result.safe,
         "digest_equal": result.digest == rerun.digest,
     }
-    for key, actual in _FLOORS.items():
-        if key in expected:
-            checks[key] = actual(result) >= int(expected[key])
+    for key, floor in floors.items():
+        checks[key] = _FLOORS[key](result) >= floor
     if "outcome_class" in expected:
         from repro.service.sweep import classify
         checks["outcome_class"] = (

@@ -673,6 +673,11 @@ class TestFrozenWitness:
             misspelt(WITNESS, ("config", "tenants", 0), "polciy", "pin_all",
                      drop="policy"),
             id="polciy.json"),
+        # A floor that is not a number can never be checked.
+        pytest.param(
+            "floor-not-a-number.json",
+            misspelt(WITNESS, ("expected_outcome",), "min_failovers", "many"),
+            id="floor-not-a-number.json"),
     ])
     def test_unusable_plan_is_one_error_line(self, tmp_path, capsys,
                                               name, text):
