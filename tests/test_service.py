@@ -416,6 +416,13 @@ class TestServiceRun:
         again = run_service(ServiceConfig(seed=0, ticks=20))
         assert again.digest == smoke_result.digest
 
+    def test_mixed_policy_run_is_pinned(self, smoke_result):
+        # The fleet `serve --smoke` runs mixes all three policies; the
+        # pool sweep and BENCH_service.json pin only single-policy
+        # fleets, so this is the one pin on the mixed run.
+        assert (smoke_result.digest, smoke_result.cycles) == \
+            ("e591a98df8a9abfe", 207_697_530)
+
     def test_different_seed_different_digest(self, smoke_result):
         other = run_service(ServiceConfig(seed=1, ticks=20))
         assert other.digest != smoke_result.digest

@@ -172,19 +172,23 @@ TestDriverMachine = DriverMachine.TestCase
 
 # -- batched IOCTLs against the same pages one per call ----------------------
 #
-# Pages 0..LOCK_REGION-1 form the declared region; the last two pages
-# lie inside the enclave but outside it.  Every other page starts
-# enclave-managed; pages in UNMANAGED are never claimed, so injecting
-# one into a batch fails it in the middle.
+# Pages 0..LOCK_REGION-1 form a writable data region and pages
+# CODE_START..LOCK_NPAGES-1 an executable code region (a zero-filled
+# code page takes an EMODPE); pages 22 and 23 lie inside the enclave but
+# outside every region.  Every other page starts enclave-managed; pages
+# in UNMANAGED are never claimed, so injecting one into a batch fails it
+# in the middle.  The code pages and the data pages from LOCK_QUOTA up
+# start never swapped: their first fetch is an EAUG zero-fill.
 
-LOCK_NPAGES = 24
+LOCK_NPAGES = 40
 LOCK_REGION = 22
+CODE_START = 24
 LOCK_QUOTA = 16
 LOCK_EPC = 20
 UNMANAGED = 18
 OUTSIDE = 22
 CLAIMABLE = [i for i in range(LOCK_NPAGES) if i != UNMANAGED]
-IN_REGION = [i for i in CLAIMABLE if i < LOCK_REGION]
+IN_REGION = [i for i in CLAIMABLE if i < LOCK_REGION or i >= CODE_START]
 
 #: Batches are mostly picks (repeats allowed) among the pages the
 #: operation applies to, plus an optional arbitrary page ...
@@ -193,6 +197,22 @@ extras = st.one_of(st.none(), st.sampled_from(IN_REGION))
 #: ... and an optional intruder slipped into the middle: a page the
 #: enclave does not manage, or a managed one outside every region.
 intruders = st.sampled_from([None, UNMANAGED, OUTSIDE])
+
+
+class RefuseEaug:
+    """An EAUG fault hook that lets ``budget`` EAUGs through, then
+    refuses every later one (EPC pressure, as the chaos injector's EAUG
+    refusal models it).  A batch it refuses part-way must keep the
+    pages EAUGed before the refusal, as the one-page calls do, so the
+    driver may not consult the hook for a whole batch up front."""
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def __call__(self, instruction, enclave, vaddr):
+        if self.budget <= 0:
+            raise EpcExhausted(f"injected EAUG refusal at {vaddr:#x}")
+        self.budget -= 1
 
 
 def _outcome(call):
@@ -213,20 +233,34 @@ class LockstepDriverMachine(RuleBasedStateMachine):
     one call at a time and stops at the first failure.  The pager
     transaction must be observably identical to that sequence:
     results, exceptions, cycles, EPC/EPCM, backing store, anti-replay
-    state, PTEs, TLB and driver counters, after every step."""
+    state, PTEs, TLB, driver counters, each page's lifecycle events
+    and the fault hook's budget, after every step."""
 
     def __init__(self):
         super().__init__()
-        self.rigs = [self._boot(), self._boot()]
+        #: Per rig, the lifecycle events each page saw, in order.
+        self.events = [{}, {}]
+        self.rigs = [self._boot(events) for events in self.events]
         self.hogged = []
 
     @staticmethod
-    def _boot():
+    def _boot(events):
         kernel = HostKernel(epc_pages=LOCK_EPC)
+
+        def observe(name, vaddr):
+            events.setdefault(vaddr, []).append(name)
+
+        kernel.instr.op_observer = \
+            lambda name, _enclave, vaddr: observe(name, vaddr)
+        kernel.page_table.op_observer = observe
         enclave = kernel.driver.create_enclave(
             BASE, LOCK_NPAGES, quota_pages=LOCK_QUOTA,
         )
         kernel.driver.declare_region(enclave, BASE, LOCK_REGION)
+        kernel.driver.declare_region(
+            enclave, BASE + CODE_START * PAGE_SIZE,
+            LOCK_NPAGES - CODE_START, executable=True,
+        )
         kernel.instr.einit(enclave)
         pages = [BASE + i * PAGE_SIZE for i in CLAIMABLE]
         kernel.driver.ay_set_enclave_managed(enclave, pages)
@@ -307,6 +341,28 @@ class LockstepDriverMachine(RuleBasedStateMachine):
                        self._batch(swapped, chosen, extra, intruder))
 
     @rule(chosen=picks, extra=extras, intruder=intruders)
+    def zero_fill(self, chosen, extra, intruder):
+        """Mostly never-swapped pages: managed, in a region, neither
+        resident nor stored, so each first fetch is an EAUG."""
+        kernel, enclave = self.rigs[0]
+        managed = kernel.driver.state(enclave).enclave_managed
+        fresh = [i for i in IN_REGION
+                 if (BASE >> 12) + i in managed
+                 and (BASE >> 12) + i not in enclave.backed
+                 and not kernel.backing.has(enclave.enclave_id,
+                                            self._page(i))]
+        self._lockstep("ay_fetch_pages",
+                       self._batch(fresh, chosen, extra, intruder))
+
+    @rule(budget=st.sampled_from([None, 0, 1, 2]))
+    def eaug_hook(self, budget):
+        """Arm an EAUG-refusing fault hook with the same budget on both
+        rigs (``None`` clears it)."""
+        for kernel, _enclave in self.rigs:
+            kernel.instr.fault_hook = \
+                None if budget is None else RefuseEaug(budget)
+
+    @rule(chosen=picks, extra=extras, intruder=intruders)
     def evict(self, chosen, extra, intruder):
         """Mostly resident enclave-managed pages."""
         kernel, enclave = self.rigs[0]
@@ -369,7 +425,7 @@ class LockstepDriverMachine(RuleBasedStateMachine):
     # -- the lockstep invariant ----------------------------------------------
 
     @staticmethod
-    def _observe(kernel, enclave):
+    def _observe(kernel, enclave, events):
         eid = enclave.enclave_id
         state = kernel.driver.state(enclave)
 
@@ -412,15 +468,18 @@ class LockstepDriverMachine(RuleBasedStateMachine):
             "pages_out": kernel.driver.pages_out,
             "managed": sorted(state.enclave_managed),
             "fifo": [vpn for vpn in state.fifo if vpn in state.fifo_set],
+            "events": events,
+            "hook": getattr(kernel.instr.fault_hook, "budget", None),
         }
 
     @invariant()
     def twins_agree(self):
-        batched, single = (self._observe(k, e) for k, e in self.rigs)
+        batched, single = (self._observe(k, e, events) for (k, e), events
+                           in zip(self.rigs, self.events))
         assert batched == single
 
 
 LockstepDriverMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=40, deadline=None,
+    max_examples=60, stateful_step_count=40, deadline=None,
 )
 TestLockstepDriverMachine = LockstepDriverMachine.TestCase
