@@ -66,18 +66,25 @@ class PageFault(ReproError):
     For self-paging (Autarky) enclaves the CPU masks ``vaddr`` and
     ``write``/``exec`` before the fault is delivered to the OS; the raw
     values remain visible only in the SSA frame (see :mod:`repro.sgx.ssa`).
+
+    Faults are built on every faulting walk and mostly never printed, so
+    the message is formatted only when asked for.
     """
 
     def __init__(self, vaddr, write=False, exec_=False, present=False,
                  reason=""):
+        super().__init__(vaddr, write, exec_, present, reason)
         self.vaddr = vaddr
         self.write = write
         self.exec_ = exec_
         self.present = present
         self.reason = reason
-        super().__init__(
-            f"#PF at {vaddr:#x} (write={write}, exec={exec_}, "
-            f"present={present}, reason={reason!r})"
+
+    def __str__(self):
+        return (
+            f"#PF at {self.vaddr:#x} (write={self.write}, "
+            f"exec={self.exec_}, present={self.present}, "
+            f"reason={self.reason!r})"
         )
 
 

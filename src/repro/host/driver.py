@@ -19,10 +19,16 @@ are :meth:`ay_set_os_managed`, :meth:`ay_set_enclave_managed`,
 Each paging IOCTL, and each whole-enclave suspend or resume, settles as
 one *pager transaction*: the driver first checks, with no side effect,
 that every step would succeed for every page of the batch, then commits
-the batch in bulk (one EBLOCK/drop/EWB or ELDU/map step over the page
-list).  A batch that fails the check, or needs driver-side eviction to
+the batch in bulk (one EBLOCK/drop/EWB step over the page list, or one
+ELDU/map step, or for pages never swapped out one EAUG/EACCEPT/map
+step).  A batch that fails the check, or needs driver-side eviction to
 fit the quota, is replayed as one-page transactions through the same
-code, which fail exactly where the page-by-page protocol does.
+code, which fail exactly where the page-by-page protocol does.  So is
+a batch that mixes swapped and never-swapped pages.
+
+Claiming pages (:meth:`SgxDriver.ay_set_enclave_managed`) and tearing
+down a dead enclave (:meth:`SgxDriver.reclaim_enclave`) are range
+operations over the page list too.
 """
 
 from __future__ import annotations
@@ -310,22 +316,23 @@ class SgxDriver:
     def _load(self, enclave, bases, regions):
         """Bring pages into fresh EPC frames and map them.
 
-        Swapped pages are reloaded with ELDU.  A never-swapped page is a
-        zero-fill allocation: EAUG pages start RW, and executable
+        Swapped pages are reloaded with ELDU.  Never-swapped pages are
+        a zero-fill allocation: EAUG pages start RW, and executable
         regions are extended with the enclave's EMODPE after acceptance
-        (zero-fill lazy code loading, as a JIT or loader would do).  It
-        always travels alone, because a fetch batch holding one fails
+        (zero-fill lazy code loading, as a JIT or loader would do).  The
+        first page decides which: a batch that mixes the two kinds fails
         validation and is replayed page by page."""
         if self.backing.has(enclave.enclave_id, bases[0]):
             self._reload(enclave, bases, regions)
             return
-        (base,), (region,) = bases, regions
-        self.instr.eaug(enclave, base)
-        self.instr.eaccept(enclave, base)
-        if region.executable:
-            # EMODPE can only extend, so the page becomes RWX; a
-            # hardening pass could EMODPR the W bit away afterwards.
-            self.instr.emodpe(enclave, base, Permissions.RWX)
+        instr = self.instr
+        instr.eaug_pages(enclave, bases)
+        instr.eaccept_pages(enclave, bases)
+        for base, region in zip(bases, regions):
+            if region.executable:
+                # EMODPE can only extend, so the page becomes RWX; a
+                # hardening pass could EMODPR the W bit away afterwards.
+                instr.emodpe(enclave, base, Permissions.RWX)
         self._map(enclave, bases, regions)
 
     def _reload(self, enclave, bases, regions):
@@ -340,25 +347,34 @@ class SgxDriver:
         self._map(enclave, bases, regions)
 
     def _can_load(self, enclave, bases):
-        """Whether :meth:`_reload` would commit every page of the list,
-        checked with no side effect: enough EPC frames are free, and
-        each page lies in the enclave, is not backed, and has a stored
-        blob that verifies."""
-        if len(bases) > self.instr.epc.free_pages:
+        """Whether :meth:`_load` would commit every page of the list,
+        checked with no side effect: enough EPC frames are free, each
+        page lies in the enclave and is not backed, and either every
+        page has a stored blob that verifies, or none has one and EAUG
+        would zero-fill them all: the enclave has SGX2, and no fault
+        hook is installed (a hook has side effects, so validation may
+        not ask it; the page-by-page replay does)."""
+        instr = self.instr
+        if len(bases) > instr.epc.free_pages:
             return False
         backed = enclave.backed
         low, high = enclave.base, enclave.limit
         stored = self.backing.get
         enclave_id = enclave.enclave_id
         blobs = []
+        missing = 0
         for base in bases:
-            sealed = stored(enclave_id, base)
-            if sealed is None or base >> PAGE_SHIFT in backed or \
-                    not low <= base < high:
+            if base >> PAGE_SHIFT in backed or not low <= base < high:
                 return False
+            sealed = stored(enclave_id, base)
+            if sealed is None:
+                missing += 1
             blobs.append(sealed)
+        if missing:
+            return (missing == len(bases) and enclave.attributes.sgx2
+                    and instr.fault_hook is None)
         try:
-            self.instr.hw_crypto.verify_pages(enclave_id, bases, blobs)
+            instr.hw_crypto.verify_pages(enclave_id, bases, blobs)
         except IntegrityError:
             return False
         return True
@@ -389,15 +405,16 @@ class SgxDriver:
     # -- Autarky IOCTLs (§5.2.1) -------------------------------------------
 
     def ay_set_enclave_managed(self, enclave, vaddrs):
-        """Claim pages for enclave management; returns their residency
-        so the runtime can update its state and page in if desired."""
+        """Claim pages for enclave management, as one set operation over
+        the list; returns their residency (by page base, in first-claim
+        order) so the runtime can update its state and page in if
+        desired."""
         state = self.state(enclave)
-        residency = {}
-        for vaddr in vaddrs:
-            vpn = vpn_of(vaddr)
-            state.enclave_managed.add(vpn)
-            state.fifo_discard(vpn)
-            residency[page_base(vaddr)] = vpn in enclave.backed
+        vpns = [vaddr >> PAGE_SHIFT for vaddr in vaddrs]
+        state.enclave_managed.update(vpns)
+        state.fifo_set.difference_update(vpns)
+        backed = enclave.backed
+        residency = {vpn << PAGE_SHIFT: vpn in backed for vpn in vpns}
         self.clock.charge(self.cost.syscall, Category.OS)
         return residency
 
@@ -570,10 +587,10 @@ class SgxDriver:
         sealed blobs stay in the backing store: untrusted memory has no
         delete, and recovery replays against them."""
         enclave.dead = True
-        for vpn in list(enclave.backed):
-            base = vpn << 12
-            self.page_table.drop(base)
-            self.instr.eremove(enclave, base)
+        bases = [vpn << PAGE_SHIFT for vpn in enclave.backed]
+        if bases:
+            self.page_table.drop_pages(bases)
+            self.instr.eremove_pages(enclave, bases)
         state = self._states.pop(enclave.enclave_id, None)
         if state is not None:
             state.fifo.clear()

@@ -64,7 +64,7 @@ class RuntimeRegion:
     __contains__ = contains
 
     def pages(self):
-        return [self.start + i * PAGE_SIZE for i in range(self.npages)]
+        return list(range(self.start, self.end, PAGE_SIZE))
 
     def page(self, index):
         if not 0 <= index < self.npages:

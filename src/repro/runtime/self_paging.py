@@ -119,15 +119,14 @@ class SelfPager:
         )
         adopted = [b for b, res in residency.items() if res]
         self.ops.adopt(adopted)
-        for base in adopted:
-            self._resident.add(vpn_of(base))
-        for base in bases:
-            self._claimed.add(vpn_of(base))
+        adopted_vpns = [b >> PAGE_SHIFT for b in adopted]
+        self._resident.update(adopted_vpns)
+        vpns = [b >> PAGE_SHIFT for b in bases]
+        self._claimed.update(vpns)
         if pin:
-            self._pinned.update(vpn_of(b) for b in bases)
-        else:
-            if adopted:
-                self._push_unit(tuple(vpn_of(b) for b in adopted))
+            self._pinned.update(vpns)
+        elif adopted_vpns:
+            self._push_unit(tuple(adopted_vpns))
         return residency
 
     def release_pages(self, vaddrs):

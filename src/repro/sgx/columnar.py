@@ -16,7 +16,7 @@ split:
   the set of translations the page table, EPCM, and (for self-paging
   enclaves) the Autarky A/D check have already validated.  A run
   compiles only if **every** page is TLB-resident, which is all a read
-  needs; the result is a packed PFN column stamped with the
+  needs; the result is the plan's stamp, set to the
   :class:`~repro.sgx.epoch.TranslationEpoch` value it was compiled
   under.
 
@@ -32,8 +32,8 @@ drops to the sequential path (:meth:`repro.sgx.cpu.Cpu.access_run`),
 which replays it with per-address semantics: identical fault sequence,
 counters, and cycle charges to the unbatched loop.  Soundness is
 inherited from the epoch contract proven by ``effects/epoch-soundness``:
-a compiled column can never outlive any translation-affecting mutation,
-because every such mutation bumps the epoch that stamps it.
+a compiled stamp can never outlive any translation-affecting mutation,
+because every such mutation bumps the epoch it was taken from.
 
 Why compiling from the TLB is equivalent: for a run of TLB-resident
 pages, the sequential loop performs N :meth:`~repro.sgx.tlb.Tlb.lookup`
@@ -92,13 +92,13 @@ class PageRun:
 
     Iterates as its page addresses, so the sequential path
     (``Mmu.probe_run`` and the replay in ``Cpu.access_run``) consumes
-    it unchanged.  Holds one compiled PFN column and the epoch stamp it
-    was compiled under; the stamp starts invalid, and an epoch bump
-    invalidates it implicitly (the stamp no longer matches), so there
-    is no subscription machinery to get wrong.
+    it unchanged.  Holds the epoch stamp it was last compiled under;
+    the stamp starts invalid, and an epoch bump invalidates it
+    implicitly (the stamp no longer matches), so there is no
+    subscription machinery to get wrong.
     """
 
-    __slots__ = ("vaddrs", "vpns", "n", "stamp", "pfns")
+    __slots__ = ("vaddrs", "vpns", "n", "stamp")
 
     def __init__(self, vaddrs):
         va = tuple(vaddrs)
@@ -106,7 +106,6 @@ class PageRun:
         self.n = len(va)
         self.vpns = pack_column([v >> PAGE_SHIFT for v in va])
         self.stamp = -1
-        self.pfns = None
 
     def __iter__(self):
         return iter(self.vaddrs)
@@ -126,7 +125,7 @@ class ColumnarEngine:
     fast-path tier is "columnar"; the CPU holds it and every
     :class:`ReplayFrontend` executes through it.  Holds only aliases:
     the live TLB entry map *is* the residency table, kept current by
-    the TLB itself; the epoch stamp is what keys compiled columns to it.
+    the TLB itself; the epoch stamp is what keys compiled plans to it.
     """
 
     __slots__ = ("tlb", "epoch", "entries")
@@ -141,30 +140,25 @@ class ColumnarEngine:
 
     # repro: hot
     def execute(self, run):
-        """Execute a whole read run fault-free, or return ``None``.
+        """Execute a whole read run fault-free; returns whether it did.
 
-        A stamp match replays the compiled column: ``tlb.hits += n``
-        in bulk, exactly N architectural TLB hits.  A stamp miss
-        recompiles against the current residency table, where a
-        resident entry is all a read needs (as in
-        :meth:`repro.sgx.tlb.TlbEntry.allows`).  A compile miss (any
-        page non-resident) returns ``None`` with **no side effects**,
-        and the caller falls back to the sequential path.
+        A stamp match replays the run: ``tlb.hits += n`` in bulk,
+        exactly N architectural TLB hits.  A stamp miss recompiles
+        against the current residency table, where a resident entry is
+        all a read needs (as in :meth:`repro.sgx.tlb.TlbEntry.allows`),
+        and stamps the run.  A compile miss (any page non-resident)
+        returns ``False`` with **no side effects**, and the caller falls
+        back to the sequential path.
         """
         stamp = self.epoch.value
         if run.stamp != stamp:
-            get = self.entries.get
-            pfns = []
-            append = pfns.append
+            entries = self.entries
             for vpn in run.vpns:
-                entry = get(vpn)
-                if entry is None:
-                    return None
-                append(entry.pfn)
-            run.pfns = pack_column(pfns)
+                if vpn not in entries:
+                    return False
             run.stamp = stamp
         self.tlb.hits += run.n
-        return run.pfns
+        return True
 
 
 #: What :meth:`ReplayFrontend.replay_settled` (and every engine's
@@ -259,7 +253,7 @@ class ReplayFrontend:
     def _slow(self, run):
         """Stamp miss: recompile, or fall back to the sequential run
         engine (faults, epoch bumps, and A/D transitions land here)."""
-        if self._columnar.execute(run) is None:
+        if not self._columnar.execute(run):
             self._cpu.access_run(
                 self._enclave, self._tcs, run, AccessType.READ
             )

@@ -225,30 +225,63 @@ class SgxInstructions:
         return pfns
 
     # -- SGX2 dynamic memory management ------------------------------------
+    #
+    # EAUG, EACCEPT and EREMOVE take page lists like the SGX1 paging
+    # instructions above, with the single-page form a batch of one.
 
     def eaug(self, enclave, vaddr):
         """OS adds a zeroed page in pending state (needs EACCEPT[COPY])."""
-        self._check_range(enclave, vaddr)
+        return self.eaug_pages(enclave, (vaddr,))[0]
+
+    def eaug_pages(self, enclave, vaddrs):
+        """EAUG every page of ``vaddrs``; returns the new PFNs in order.
+        The fault hook, when one is installed, is consulted for every
+        page before any page is allocated."""
+        low, high = enclave.base, enclave.limit
+        for vaddr in vaddrs:
+            if not low <= vaddr < high:
+                self._check_range(enclave, vaddr)
+        if len(vaddrs) > 1:
+            self._require_distinct("EAUG", vaddrs)
         if not enclave.attributes.sgx2:
             raise SgxError("EAUG requires SGX2")
-        if self.fault_hook is not None:
-            self.fault_hook("eaug", enclave, vaddr)
-        self.clock.charge(self.cost.eaug, Category.SGX_PAGING)
-        pfn = self._install(enclave, vaddr, None, Permissions.RW,
-                            PageType.REG)
-        self.epcm.entry(pfn).pending = True
-        self._observe("eaug", enclave, vaddr)
-        return pfn
+        hook = self.fault_hook
+        if hook is not None:
+            for vaddr in vaddrs:
+                hook("eaug", enclave, vaddr)
+        count = len(vaddrs)
+        self.clock.charge(self.cost.eaug * count, Category.SGX_PAGING)
+        pfns = self._install_pages(enclave, vaddrs, (None,) * count,
+                                   (Permissions.RW,) * count, PageType.REG)
+        entry_of = self.epcm.entry
+        for pfn in pfns:
+            entry_of(pfn).pending = True
+        if self.op_observer is not None:
+            for vaddr in vaddrs:
+                self.op_observer("eaug", enclave, vaddr)
+        return pfns
 
     def eaccept(self, enclave, vaddr):
         """Enclave confirms an OS-proposed change (clears pending/modified)."""
+        self.eaccept_pages(enclave, (vaddr,))
+
+    def eaccept_pages(self, enclave, vaddrs):
+        """EACCEPT every page of ``vaddrs``: each must have a change
+        pending, or none is accepted."""
         self.epoch.value += 1
-        self.clock.charge(self.cost.eaccept, Category.SGX_PAGING)
-        entry = self._entry_for(enclave, vaddr)
-        if not (entry.pending or entry.modified):
-            raise SgxError(f"EACCEPT: nothing pending at {vaddr:#x}")
-        entry.pending = False
-        entry.modified = False
+        self.clock.charge(self.cost.eaccept * len(vaddrs),
+                          Category.SGX_PAGING)
+        if len(vaddrs) > 1:
+            self._require_distinct("EACCEPT", vaddrs)
+        entries = []
+        for vaddr in vaddrs:
+            entry = self._entry_for(enclave, vaddr)
+            if not (entry.pending or entry.modified):
+                raise SgxError(f"EACCEPT: nothing pending at {vaddr:#x}")
+            entries.append(entry)
+        for entry in entries:
+            entry.pending = False
+            entry.modified = False
 
     def eacceptcopy(self, enclave, vaddr, contents):
         """Enclave accepts a pending page, initializing its contents —
@@ -298,22 +331,40 @@ class SgxInstructions:
 
     def eremove(self, enclave, vaddr):
         """Free a trimmed-and-accepted (or dead-enclave) page."""
+        self.eremove_pages(enclave, (vaddr,))
+
+    def eremove_pages(self, enclave, vaddrs):
+        """EREMOVE every page of ``vaddrs``, or none of them.  Frames go
+        back to the free list in page order."""
         self.epoch.value += 1
-        self.clock.charge(self.cost.eremove, Category.SGX_PAGING)
-        vpn = vpn_of(vaddr)
-        pfn = enclave.backed.get(vpn)
-        if pfn is None:
-            raise SgxError(f"EREMOVE: {vaddr:#x} not backed")
-        entry = self.epcm.entry(pfn)
-        trimmed = entry.page_type is PageType.TRIM and not entry.modified
-        if not (trimmed or enclave.dead):
-            raise SgxError(
-                "EREMOVE on a live, untrimmed page (would break the enclave)"
-            )
-        entry.valid = False
-        entry.page_type = PageType.REG
-        self.epc.free(self.epc.frame(pfn))
-        del enclave.backed[vpn]
+        self.clock.charge(self.cost.eremove * len(vaddrs),
+                          Category.SGX_PAGING)
+        if len(vaddrs) > 1:
+            self._require_distinct("EREMOVE", vaddrs)
+        backed = enclave.backed
+        entry_of = self.epcm.entry
+        frame_of = self.epc.frame
+        dead = enclave.dead
+        entries, frames = [], []
+        for vaddr in vaddrs:
+            pfn = backed.get(vaddr >> PAGE_SHIFT)
+            if pfn is None:
+                raise SgxError(f"EREMOVE: {vaddr:#x} not backed")
+            entry = entry_of(pfn)
+            trimmed = entry.page_type is PageType.TRIM and not entry.modified
+            if not (trimmed or dead):
+                raise SgxError(
+                    "EREMOVE on a live, untrimmed page "
+                    "(would break the enclave)"
+                )
+            entries.append(entry)
+            frames.append(frame_of(pfn))
+        for entry in entries:
+            entry.valid = False
+            entry.page_type = PageType.REG
+        self.epc.free_frames(frames)
+        for vaddr in vaddrs:
+            del backed[vaddr >> PAGE_SHIFT]
 
     # -- helpers -----------------------------------------------------------
 

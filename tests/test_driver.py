@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EpcExhausted, SgxError
+from repro.host.kernel import HostKernel
 from repro.sgx.params import PAGE_SIZE
 
 BASE = 0x1000_0000
@@ -180,6 +181,186 @@ class TestAutarkyIoctls:
         rig.driver.ay_fetch_pages(rig.enclave, [page(0)])
         rig.driver.ay_set_os_managed(rig.enclave, [page(0)])
         rig.driver.evict_page(rig.enclave, page(0))  # now allowed
+
+
+def twin_rig():
+    """A fresh kernel and enclave, built the same way every call, with
+    the page table's drop events recorded in ``kernel.drops``."""
+    kernel = HostKernel(epc_pages=64)
+    enclave = kernel.driver.create_enclave(BASE, 64, quota_pages=32)
+    kernel.driver.declare_region(enclave, BASE, 64)
+    kernel.instr.einit(enclave)
+    kernel.drops = []
+    kernel.page_table.op_observer = \
+        lambda name, vaddr: kernel.drops.append((name, vaddr))
+    return kernel, enclave
+
+
+class TestRangeOperations:
+    """The claim IOCTL and the dead-enclave teardown settle as one
+    operation over the page list; each must leave what the one-page
+    calls it replaces leave, on a twin kernel."""
+
+    VADDRS = [page(0), page(1) + 8, page(2), page(1), page(4) + 4095,
+              page(2) + 1, page(3), page(6), page(0)]
+
+    @staticmethod
+    def _claim_setup(kernel, enclave):
+        for i in (3, 1, 5, 2):      # resident and in the OS FIFO
+            kernel.driver.page_in(enclave, page(i))
+        kernel.driver.ay_set_enclave_managed(enclave, [page(3)])
+
+    def test_claim_is_one_set_operation(self):
+        (kernel, enclave), (twin, twin_enclave) = twin_rig(), twin_rig()
+        self._claim_setup(kernel, enclave)
+        self._claim_setup(twin, twin_enclave)
+        cycles = kernel.clock.cycles
+        residency = kernel.driver.ay_set_enclave_managed(
+            enclave, self.VADDRS)
+        assert kernel.clock.cycles - cycles == kernel.cost.syscall
+        per_page = {}
+        for vaddr in self.VADDRS:
+            per_page.update(
+                twin.driver.ay_set_enclave_managed(twin_enclave, [vaddr]))
+        assert list(residency.items()) == list(per_page.items())
+        assert residency == {page(0): False, page(1): True,
+                             page(2): True, page(4): False,
+                             page(3): True, page(6): False}
+        state = kernel.driver.state(enclave)
+        twin_state = twin.driver.state(twin_enclave)
+        assert state.enclave_managed == twin_state.enclave_managed == \
+            {page(i) >> 12 for i in (0, 1, 2, 3, 4, 6)}
+        assert state.fifo_set == twin_state.fifo_set == {page(5) >> 12}
+        assert [vpn for vpn in state.fifo if vpn in state.fifo_set] == \
+            [vpn for vpn in twin_state.fifo if vpn in twin_state.fifo_set]
+
+    @staticmethod
+    def _reclaim_setup(kernel, enclave):
+        """Resident pages in a scrambled order, one of them reloaded
+        after an eviction, and some with cached translations."""
+        managed = [page(i) for i in (9, 4, 12)]
+        kernel.driver.ay_set_enclave_managed(enclave, managed)
+        kernel.driver.ay_fetch_pages(enclave, managed)
+        for i in (7, 2, 11, 0):
+            kernel.driver.page_in(enclave, page(i))
+        kernel.driver.ay_evict_pages(enclave, [page(4)])
+        kernel.driver.ay_fetch_pages(enclave, [page(4)])
+        for i in (9, 2, 4):
+            kernel.tlb.install(page(i), enclave.backed[page(i) >> 12],
+                               True, False)
+        kernel.drops.clear()
+
+    @staticmethod
+    def _observe(kernel, enclave):
+        eid = enclave.enclave_id
+        epcm = []
+        for pfn in range(kernel.epc.total_pages):
+            entry = kernel.epcm.entry(pfn)
+            epcm.append((entry.valid, entry.page_type,
+                         entry.enclave_id == eid, entry.vaddr, entry.perms,
+                         entry.pending, entry.modified, entry.blocked))
+        return {
+            "cycles": kernel.clock.cycles,
+            "by_category": dict(kernel.clock.by_category),
+            "free": list(kernel.epc._free),
+            "epcm": epcm,
+            "backed": dict(enclave.backed),
+            "ptes": sorted((vpn, pte.pfn, pte.present)
+                           for vpn, pte in kernel.page_table._ptes.items()),
+            "tlb": sorted(kernel.tlb.residency()),
+            "drops": kernel.drops,
+        }
+
+    def test_reclaim_matches_the_per_page_loop(self):
+        (kernel, enclave), (twin, twin_enclave) = twin_rig(), twin_rig()
+        self._reclaim_setup(kernel, enclave)
+        self._reclaim_setup(twin, twin_enclave)
+        assert len(enclave.backed) == 7
+        kernel.driver.reclaim_enclave(enclave)
+        # The loop reclaim_enclave replaces, then the teardown of the
+        # now empty corpse (driver state and the syscall charge).
+        twin_enclave.dead = True
+        for vpn in list(twin_enclave.backed):
+            twin.page_table.drop(vpn << 12)
+            twin.instr.eremove(twin_enclave, vpn << 12)
+        twin.driver.reclaim_enclave(twin_enclave)
+        observed = self._observe(kernel, enclave)
+        assert observed == self._observe(twin, twin_enclave)
+        assert observed["backed"] == {} and observed["tlb"] == []
+        assert len(observed["drops"]) == 7
+
+    def test_reclaim_of_an_empty_corpse_charges_only_the_syscall(self):
+        kernel, enclave = twin_rig()
+        before = kernel.clock.snapshot()
+        kernel.driver.reclaim_enclave(enclave)
+        assert kernel.clock.snapshot() == {
+            **before, "os": before.get("os", 0) + kernel.cost.syscall}
+        assert kernel.drops == []
+
+
+class TestZeroFillBatches:
+    """A fetch batch of never-swapped pages is one pager transaction:
+    one EAUG over the list, one EACCEPT, an EMODPE per page of an
+    executable region, and the mappings."""
+
+    @staticmethod
+    def _rig():
+        kernel = HostKernel(epc_pages=64)
+        enclave = kernel.driver.create_enclave(BASE, 16, quota_pages=8)
+        kernel.driver.declare_region(enclave, BASE, 8)
+        kernel.driver.declare_region(enclave, page(8), 8, executable=True)
+        kernel.instr.einit(enclave)
+        kernel.driver.ay_set_enclave_managed(
+            enclave, [page(i) for i in range(16)])
+        batches = []
+        bulk = kernel.instr.eaug_pages
+
+        def eaug_pages(enclave, vaddrs):
+            batches.append(list(vaddrs))
+            return bulk(enclave, vaddrs)
+
+        kernel.instr.eaug_pages = eaug_pages
+        return kernel, enclave, batches
+
+    def test_commits_in_bulk_across_regions(self):
+        kernel, enclave, batches = self._rig()
+        pages = [page(i) for i in (6, 7, 8, 9)]
+        assert kernel.driver.ay_fetch_pages(enclave, pages) == pages
+        assert batches == [pages]
+        for vaddr in pages:
+            entry = kernel.epcm.entry(enclave.backed[vaddr >> 12])
+            pte = kernel.page_table.lookup(vaddr)
+            code = vaddr >= page(8)
+            assert (entry.perms.execute, pte.executable) == (code, code)
+            assert not entry.pending
+
+    def test_replays_page_by_page_while_a_fault_hook_is_installed(self):
+        kernel, enclave, batches = self._rig()
+        asked = []
+
+        def hook(instruction, enclave, vaddr):
+            asked.append(vaddr)
+            if len(asked) > 2:
+                raise EpcExhausted(f"refused at {vaddr:#x}")
+
+        kernel.instr.fault_hook = hook
+        pages = [page(i) for i in (3, 1, 4, 2)]
+        with pytest.raises(EpcExhausted, match=f"{page(4):#x}"):
+            kernel.driver.ay_fetch_pages(enclave, pages)
+        # The pages before the refusal stay committed, as they would
+        # after one-page calls; the hook never saw the fourth page.
+        assert asked == pages[:3]
+        assert batches == [[page(3)], [page(1)], [page(4)]]
+        assert sorted(enclave.backed) == [page(1) >> 12, page(3) >> 12]
+
+    def test_a_batch_mixing_swapped_pages_replays_page_by_page(self):
+        kernel, enclave, batches = self._rig()
+        kernel.driver.ay_fetch_pages(enclave, [page(0)])
+        kernel.driver.ay_evict_pages(enclave, [page(0)])
+        del batches[:]
+        pages = [page(0), page(1), page(9)]
+        assert kernel.driver.ay_fetch_pages(enclave, pages) == pages
+        assert batches == [[page(1)], [page(9)]]
 
 
 class TestSuspendResume:

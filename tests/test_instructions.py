@@ -190,6 +190,40 @@ class TestSgx2Dmm:
         with pytest.raises(SgxError):
             instr.eaug(legacy, BASE)
 
+    def test_page_lists_match_single_pages(self, instr, enclave):
+        twin = SgxInstructions(EpcAllocator(64), Epcm(64), Clock(),
+                               CostModel())
+        twin_enclave = twin.ecreate(BASE, 32)
+        pages = [BASE + i * PAGE_SIZE for i in (2, 0, 5)]
+        pfns = instr.eaug_pages(enclave, pages)
+        instr.eaccept_pages(enclave, pages)
+        assert pfns == [twin.eaug(twin_enclave, p) for p in pages]
+        for p in pages:
+            twin.eaccept(twin_enclave, p)
+        enclave.dead = twin_enclave.dead = True
+        instr.eremove_pages(enclave, pages[1:])
+        for p in pages[1:]:
+            twin.eremove(twin_enclave, p)
+        assert instr.clock.cycles == twin.clock.cycles
+        assert instr.epc._free == twin.epc._free
+        assert enclave.backed == twin_enclave.backed
+
+    def test_page_lists_are_all_or_nothing(self, instr, enclave):
+        instr.eaug(enclave, BASE + PAGE_SIZE)
+        free = instr.epc.free_pages
+        for pages in ([BASE, BASE + PAGE_SIZE, BASE + 2 * PAGE_SIZE],
+                      [BASE, BASE]):
+            with pytest.raises(SgxError):
+                instr.eaug_pages(enclave, pages)
+            assert instr.epc.free_pages == free
+        instr.eadd(enclave, BASE)
+        with pytest.raises(SgxError, match="nothing pending"):
+            instr.eaccept_pages(enclave, [BASE + PAGE_SIZE, BASE])
+        assert instr.epcm.entry(enclave.backed[(BASE >> 12) + 1]).pending
+        with pytest.raises(SgxError, match="live, untrimmed"):
+            instr.eremove_pages(enclave, [BASE + PAGE_SIZE, BASE])
+        assert len(enclave.backed) == 2
+
 
 class TestEblockEtrack:
     def test_ewb_without_eblock_rejected(self, instr, enclave):
