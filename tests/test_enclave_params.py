@@ -1,5 +1,7 @@
 """Enclave object, measurement, params helpers, and error hierarchy."""
 
+import pickle
+
 import pytest
 
 from repro import errors
@@ -123,6 +125,16 @@ class TestErrorHierarchy:
                                  reason="test")
         text = str(fault)
         assert "0x1234" in text and "write=True" in text
+        assert text == ("#PF at 0x1234 (write=True, exec=False, "
+                        "present=False, reason='test')")
+
+    def test_page_fault_pickles_with_its_fields(self):
+        fault = errors.PageFault(0x1234, exec_=True, present=True,
+                                 reason="protection")
+        copy = pickle.loads(pickle.dumps(fault))
+        assert (copy.vaddr, copy.write, copy.exec_, copy.present,
+                copy.reason) == (0x1234, False, True, True, "protection")
+        assert str(copy) == str(fault)
 
     def test_enclave_terminated_keeps_cause(self):
         exc = errors.EnclaveTerminated("why")
