@@ -144,7 +144,6 @@ class AnalysisConfig:
     #: path, not modeled hardware/OS actions of their own.
     accounting_exempt_names: frozenset = _default(frozenset({
         "masked_fault",      # rewrites fault info; no architectural cost
-        "_fault_access",     # error-code decoding helper
         "raise_pf",          # test convenience constructor
         "note_fault",        # statistics update inside the handler
         "make_paging_ops",   # constructor dispatch, not a modeled path

@@ -385,7 +385,7 @@ class SgxDriver:
         enclaves both A and D are pre-set, otherwise the Autarky fill
         check would refuse the mapping the driver itself just created.
         Pages outside every region get no mapping."""
-        pre_set = enclave.self_paging
+        pre_set = enclave.attributes.self_paging
         backed = enclave.backed
         count = len(bases)
         start = 0

@@ -107,11 +107,8 @@ class HostKernel:
         """
         self.clock.charge(self.cost.os_fault_handling, Category.OS)
         self.fault_log.append(ObservedFault(
-            cycles=self.clock.cycles,
-            vaddr=masked.vaddr,
-            write=masked.write,
-            exec_=masked.exec_,
-            present=masked.present,
+            self.clock.cycles, masked.vaddr, masked.write, masked.exec_,
+            masked.present,
         ))
 
         if self.attacker is not None:
@@ -119,7 +116,7 @@ class HostKernel:
             if handled:
                 return
 
-        if enclave.self_paging:
+        if enclave.attributes.self_paging:
             self._autarky_fault_protocol(enclave, tcs)
         else:
             self._legacy_resolve(enclave, masked)

@@ -138,21 +138,22 @@ class RecoveryManager:
             return
         kernel = self.runtime.kernel
         kernel.clock.charge(kernel.cost.journal_append, Category.RECOVERY)
-        blob = self.sealer.seal(
-            kind, len(self.journal), payload,
-            prev_mac=self.journal.tail_mac(),
-        )
-        self.journal.append(blob)
+        journal = self.journal
+        seq = len(journal)
+        journal.append(self.sealer.seal(
+            kind, seq, payload, prev_mac=journal.tail_mac(),
+        ))
         self.records_written += 1
-        self._witness(f"note_{kind}")
+        if self.lifecycle_observer is not None:
+            self.lifecycle_observer(f"note_{kind}")
         if self.keep_trace:
             self.trace.append(fingerprint(self.runtime))
-        if (self.crash_after is not None
-                and len(self.journal) >= self.crash_after):
+        # ``seq + 1`` is the journal's length now that the record is in.
+        if self.crash_after is not None and seq + 1 >= self.crash_after:
             self.crash_after = None
             self.crash()
         if (self.auto_checkpoint_every
-                and len(self.journal) % self.auto_checkpoint_every == 0):
+                and (seq + 1) % self.auto_checkpoint_every == 0):
             self.seal_checkpoint()
 
     def crash(self):

@@ -377,10 +377,12 @@ class GrapheneRuntime:
                     raise AttackDetected(
                         "fault on managed page with no policy configured"
                     )
-                before = getattr(self.policy, "pages_fetched", 0)
+                recovery = self.recovery
+                if recovery is not None:
+                    before = getattr(self.policy, "pages_fetched", 0)
                 self.policy.on_fault(info.vaddr, info.access)
-                if self.recovery is not None:
-                    self.recovery.note_fault(
+                if recovery is not None:
+                    recovery.note_fault(
                         info.vaddr, info.access, managed=True,
                         fetched=getattr(self.policy, "pages_fetched", 0)
                         - before,

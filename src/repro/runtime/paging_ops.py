@@ -18,9 +18,15 @@
 from __future__ import annotations
 
 from repro.clock import Category
-from repro.errors import AttackDetected, IntegrityError, SgxError
+from repro.errors import (
+    AttackDetected,
+    ChaosAbort,
+    HostCallDenied,
+    IntegrityError,
+    SgxError,
+)
 from repro.host.backing import BackingStore
-from repro.runtime.backoff import RetryPolicy, call_with_retry
+from repro.runtime.backoff import RetryPolicy
 from repro.sgx.crypto import PagingCrypto
 from repro.sgx.epcm import Permissions
 from repro.sgx.params import SgxVersion, page_base
@@ -44,19 +50,28 @@ class PagingOps:
         self.retried_calls = 0
 
     def _host_call(self, name, *args):
-        attempts = 0
-
-        def attempt():
-            nonlocal attempts
-            attempts += 1
-            return self.channel.call(name, self.enclave, *args)
-
-        result = call_with_retry(
-            self.channel.kernel.clock, attempt, self.retry,
-            describe=f"paging service {name!r}",
-        )
-        self.retried_calls += attempts - 1
-        return result
+        """Issue host call ``name``, retrying a transient
+        :class:`~repro.errors.HostCallDenied`: the wait before retry
+        ``i`` is charged to BACKOFF (``RetryPolicy.wait_cycles``), and
+        once the budget is spent the persistent failure becomes a
+        fail-stop :class:`~repro.errors.ChaosAbort`, so a hostile host
+        can never make the enclave spin."""
+        policy = self.retry
+        for attempt in range(1, policy.max_attempts + 1):
+            try:
+                result = self.channel.call(name, self.enclave, *args)
+            except HostCallDenied as exc:
+                last = exc
+                if attempt < policy.max_attempts:
+                    self.channel.kernel.clock.charge(
+                        policy.wait_cycles(attempt), Category.BACKOFF)
+                continue
+            self.retried_calls += attempt - 1
+            return result
+        raise ChaosAbort(
+            f"paging service {name!r} still failing after "
+            f"{policy.max_attempts} attempts with backoff: {last}"
+        ) from last
 
     def fetch_batch(self, vaddrs):
         raise NotImplementedError

@@ -31,7 +31,13 @@ from repro.errors import (
     PinnedExhaustion,
     PolicyError,
 )
-from repro.sgx.params import EVICTION_BATCH, PAGE_SHIFT, page_base, vpn_of
+from repro.sgx.params import (
+    EVICTION_BATCH,
+    PAGE_MASK,
+    PAGE_SHIFT,
+    page_base,
+    vpn_of,
+)
 
 
 class EvictionOrder(enum.Enum):
@@ -91,7 +97,7 @@ class SelfPager:
     # -- queries -----------------------------------------------------------
 
     def is_resident(self, vaddr):
-        return vpn_of(vaddr) in self._resident
+        return vaddr >> PAGE_SHIFT in self._resident
 
     def resident_count(self):
         return len(self._resident)
@@ -102,7 +108,7 @@ class SelfPager:
 
     def is_managed(self, vaddr):
         """Whether the page is currently under enclave management."""
-        return vpn_of(vaddr) in self._claimed
+        return vaddr >> PAGE_SHIFT in self._claimed
 
     # -- claiming ----------------------------------------------------------
 
@@ -113,7 +119,7 @@ class SelfPager:
         exempts them from eviction (handler code/data, ORAM metadata,
         self-paging bookkeeping — everything whose fault would itself
         leak)."""
-        bases = [page_base(v) for v in vaddrs]
+        bases = [v & PAGE_MASK for v in vaddrs]
         residency = self.channel.call(
             "ay_set_enclave_managed", self.enclave, bases
         )
@@ -150,8 +156,8 @@ class SelfPager:
         Returns the list of page bases actually fetched.  The unit is
         recorded so its pages are evicted together later."""
         resident = self._resident
-        vpns = tuple(vpn for vpn in map(vpn_of, vaddrs)
-                     if vpn not in resident)
+        vpns = tuple([vpn for vaddr in vaddrs
+                      if (vpn := vaddr >> PAGE_SHIFT) not in resident])
         if not vpns:
             return []
         missing = [vpn << PAGE_SHIFT for vpn in vpns]
@@ -278,7 +284,7 @@ class SelfPager:
 
     def note_fault(self, vaddr):
         """Record a fault against the page (frequency eviction input)."""
-        vpn = vpn_of(vaddr)
+        vpn = vaddr >> PAGE_SHIFT
         self._page_faults[vpn] += 1
         unit = self._unit_of.get(vpn)
         if unit is not None:
@@ -333,11 +339,9 @@ class SelfPager:
     # -- internals -----------------------------------------------------------
 
     def _push_unit(self, vpns):
-        unit = EvictionUnit(
-            pages=vpns,
-            seq=self._seq,
-            fault_count=sum(self._page_faults[v] for v in vpns),
-        )
+        faults = self._page_faults
+        unit = EvictionUnit(vpns, True, sum([faults[v] for v in vpns]),
+                            self._seq)
         self._seq += 1
         for vpn in vpns:
             old = self._unit_of.get(vpn)

@@ -111,6 +111,13 @@ class RequestResult:
                          # at admission)
     fetches: int         # EPC page fetches the request performed
 
+    def __init__(self, tenant, request_id, outcome, reason, cycles,
+                 fetches):
+        # One per request: see repro.sgx.crypto.SealedPage.__init__.
+        self.__dict__.update(tenant=tenant, request_id=request_id,
+                             outcome=outcome, reason=reason,
+                             cycles=cycles, fetches=fetches)
+
 
 @dataclass
 class ServiceMetrics:

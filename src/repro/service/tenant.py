@@ -122,6 +122,15 @@ class Request:
     #: vaddr only exists in the forged replica's address space.
     probe_vaddr: Optional[tuple] = None
 
+    def __init__(self, tenant, request_id, keys, writes, issued_cycles,
+                 deadline_cycles, stall_cycles=0, probe_vaddr=None):
+        # One per request: see repro.sgx.crypto.SealedPage.__init__.
+        self.__dict__.update(
+            tenant=tenant, request_id=request_id, keys=keys,
+            writes=writes, issued_cycles=issued_cycles,
+            deadline_cycles=deadline_cycles, stall_cycles=stall_cycles,
+            probe_vaddr=probe_vaddr)
+
 
 class Tenant:
     """Runtime state of one tenant inside the service."""
@@ -214,12 +223,10 @@ class Tenant:
         """Draw the next deterministic request from the tenant's
         generator stream."""
         spec = self.spec
-        keys = tuple(
-            self._generator.next() for _ in range(spec.ops_per_request)
-        )
-        writes = tuple(
-            self._rng.random() < 0.25 for _ in range(spec.ops_per_request)
-        )
+        next_key = self._generator.next
+        draw = self._rng.random
+        keys = tuple([next_key() for _ in range(spec.ops_per_request)])
+        writes = tuple([draw() < 0.25 for _ in range(spec.ops_per_request)])
         stall = self.stall_cycles if tick <= self.stall_until_tick else 0
         self.requests_issued += 1
         return Request(

@@ -22,7 +22,12 @@ import enum
 
 from repro.clock import Category
 from repro.errors import EnclaveTerminated, PageFault, SgxError
-from repro.sgx.params import PAGE_SHIFT, ArchOptimizations, page_base
+from repro.sgx.params import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    AccessType,
+    ArchOptimizations,
+)
 from repro.sgx.ssa import ExitInfo, SsaFrame
 
 
@@ -65,11 +70,6 @@ class Cpu:
         self.eexit_count = 0
         self.fault_count = 0
 
-
-    def _observe(self, name, enclave, tcs):
-        if self.op_observer is not None:
-            self.op_observer(name, enclave, tcs)
-
     # -- the enclave data path ---------------------------------------------
 
     def access(self, enclave, tcs, vaddr, access):
@@ -79,7 +79,8 @@ class Cpu:
         :class:`~repro.errors.EnclaveTerminated` if trusted software
         kills the enclave while handling a fault.
         """
-        enclave.require_alive()
+        if enclave.dead:
+            enclave.require_alive()
         pfn = self.mmu.fast_hit(vaddr, access)
         if pfn is not None:
             return pfn
@@ -111,7 +112,8 @@ class Cpu:
         caller (:class:`~repro.sgx.columnar.ReplayFrontend`) has already
         tried to compile it, so here it is only the addresses it yields.
         """
-        enclave.require_alive()
+        if enclave.dead:
+            enclave.require_alive()
         mmu = self.mmu
         # Optimistic probe: memo probes have no side effects, so the
         # whole run can be resolved in one C-speed pass when every page
@@ -153,22 +155,24 @@ class Cpu:
     # -- transitions ---------------------------------------------------------
 
     def aex(self, enclave, tcs, fault):
-        """Asynchronous enclave exit on a page fault."""
+        """Asynchronous enclave exit on a page fault: the SSA frame
+        saves the true fault, with the access decoded from the error
+        code."""
         self.aex_count += 1
         self.clock.charge(self.cost.aex, Category.AEX_ERESUME)
-        exitinfo = ExitInfo(
-            vector="#PF",
-            vaddr=fault.vaddr,
-            access=self._fault_access(fault),
-            present=fault.present,
-            reason=fault.reason,
-        )
-        tcs.ssa.push(SsaFrame(exitinfo=exitinfo, saved_context=fault))
-        if enclave.self_paging:
+        access = (AccessType.EXEC if fault.exec_ else
+                  AccessType.WRITE if fault.write else AccessType.READ)
+        tcs.ssa.push(SsaFrame(
+            ExitInfo("#PF", fault.vaddr, access, fault.present,
+                     fault.reason),
+            fault,
+        ))
+        if enclave.attributes.self_paging:
             tcs.pending_exception = True
         self.mmu.tlb.flush()
         self.mode = ExecutionMode.HOST
-        self._observe("aex", enclave, tcs)
+        if self.op_observer is not None:
+            self.op_observer("aex", enclave, tcs)
 
     def interrupt(self, enclave, tcs):
         """Asynchronous exit for a hardware interrupt (timer, IPI).
@@ -188,7 +192,8 @@ class Cpu:
         tcs.ssa.push(SsaFrame(exitinfo=None, saved_context="irq"))
         self.mmu.tlb.flush()
         self.mode = ExecutionMode.HOST
-        self._observe("aex", enclave, tcs)
+        if self.op_observer is not None:
+            self.op_observer("aex", enclave, tcs)
 
     def resume_from_interrupt(self, enclave, tcs):
         """ERESUME after an interrupt — legal even for self-paging
@@ -203,7 +208,8 @@ class Cpu:
         :meth:`eexit_cost` unless the in-enclave-resume optimization
         consumed the frame.
         """
-        enclave.require_alive()
+        if enclave.dead:
+            enclave.require_alive()
         if enclave.runtime is None:
             raise SgxError("enclave has no trusted runtime registered")
         if tcs.busy:
@@ -214,7 +220,8 @@ class Cpu:
         tcs.pending_exception = False
         tcs.busy = True
         self.mode = ExecutionMode.ENCLAVE
-        self._observe("eenter", enclave, tcs)
+        if self.op_observer is not None:
+            self.op_observer("eenter", enclave, tcs)
         try:
             enclave.runtime.on_enter(tcs)
         except EnclaveTerminated:
@@ -240,8 +247,9 @@ class Cpu:
         pending-exception flag is set — the change that removes the
         attacker's ability to hide faults from the enclave.
         """
-        enclave.require_alive()
-        if enclave.self_paging and tcs.pending_exception:
+        if enclave.dead:
+            enclave.require_alive()
+        if enclave.attributes.self_paging and tcs.pending_exception:
             raise SgxError(
                 "ERESUME rejected: pending exception not yet delivered "
                 "to the enclave (Autarky)"
@@ -251,13 +259,15 @@ class Cpu:
         self.clock.charge(self.cost.eresume, Category.AEX_ERESUME)
         self.mmu.tlb.flush()
         self.mode = ExecutionMode.ENCLAVE
-        self._observe("eresume", enclave, tcs)
+        if self.op_observer is not None:
+            self.op_observer("eresume", enclave, tcs)
 
     # -- fault orchestration ---------------------------------------------
 
     def deliver_fault(self, enclave, tcs, fault):
         """Full fault-resolution flow for one #PF."""
-        if enclave.self_paging and self.arch_opts.elide_aex:
+        self_paging = enclave.attributes.self_paging
+        if self_paging and self.arch_opts.elide_aex:
             self._elided_fault(enclave, tcs, fault)
             return
 
@@ -269,7 +279,7 @@ class Cpu:
         except EnclaveTerminated:
             enclave.dead = True
             raise
-        if enclave.self_paging and tcs.pending_exception:
+        if self_paging and tcs.pending_exception:
             # A correct OS re-enters through the handler; one that does
             # not leaves the thread unresumable.  Surface that loudly.
             raise SgxError(
@@ -286,15 +296,15 @@ class Cpu:
         """§5.1.3 optimization: stay in enclave mode, simulate a nested
         re-entry straight into the handler.  No AEX, no OS, no EENTER —
         the OS never even learns a fault occurred (unless the handler
-        asks it for pages)."""
-        exitinfo = ExitInfo(
-            vector="#PF",
-            vaddr=fault.vaddr,
-            access=self._fault_access(fault),
-            present=fault.present,
-            reason=fault.reason,
-        )
-        tcs.ssa.push(SsaFrame(exitinfo=exitinfo, saved_context=fault))
+        asks it for pages).  The SSA frame is the one :meth:`aex`
+        saves."""
+        access = (AccessType.EXEC if fault.exec_ else
+                  AccessType.WRITE if fault.write else AccessType.READ)
+        tcs.ssa.push(SsaFrame(
+            ExitInfo("#PF", fault.vaddr, access, fault.present,
+                     fault.reason),
+            fault,
+        ))
         try:
             enclave.runtime.handle_fault(tcs)
         except EnclaveTerminated:
@@ -310,27 +320,8 @@ class Cpu:
         consistent read fault at the enclave base so the OS learns only
         that *some* enclave fault happened.
         """
-        if enclave.self_paging:
-            return PageFault(
-                enclave.base,
-                write=False,
-                exec_=False,
-                present=False,
-                reason="enclave fault (masked)",
-            )
-        return PageFault(
-            page_base(fault.vaddr),
-            write=fault.write,
-            exec_=fault.exec_,
-            present=fault.present,
-            reason=fault.reason,
-        )
-
-    @staticmethod
-    def _fault_access(fault):
-        from repro.sgx.params import AccessType
-        if fault.exec_:
-            return AccessType.EXEC
-        if fault.write:
-            return AccessType.WRITE
-        return AccessType.READ
+        if enclave.attributes.self_paging:
+            return PageFault(enclave.base, False, False, False,
+                             "enclave fault (masked)")
+        return PageFault(fault.vaddr & PAGE_MASK, fault.write, fault.exec_,
+                         fault.present, fault.reason)

@@ -21,7 +21,12 @@ from repro.errors import IntegrityError
 
 @dataclass(frozen=True)
 class SealedPage:
-    """An encrypted page in untrusted memory."""
+    """An encrypted page in untrusted memory.
+
+    One is built per evicted page, so ``__init__`` fills the instance
+    dict at once rather than through the per-field ``object.__setattr__``
+    of a generated frozen ``__init__``; everything else is the frozen
+    dataclass's own."""
 
     enclave_id: int
     vaddr: int
@@ -29,6 +34,11 @@ class SealedPage:
     nonce: int
     ciphertext: object   # stands in for the encrypted page contents
     mac: int
+
+    def __init__(self, enclave_id, vaddr, version, nonce, ciphertext, mac):
+        self.__dict__.update(enclave_id=enclave_id, vaddr=vaddr,
+                             version=version, nonce=nonce,
+                             ciphertext=ciphertext, mac=mac)
 
 
 class PagingCrypto:
@@ -162,6 +172,11 @@ class SealedBlob:
     prev_mac: str
     mac: str
 
+    def __init__(self, kind, seq, payload, prev_mac, mac):
+        # One per journal record: see SealedPage.__init__.
+        self.__dict__.update(kind=kind, seq=seq, payload=payload,
+                             prev_mac=prev_mac, mac=mac)
+
 
 class StateSealer:
     """Seals recovery state (checkpoints, journal records) under a key
@@ -190,10 +205,8 @@ class StateSealer:
         return hashlib.sha256(body.encode()).hexdigest()
 
     def seal(self, kind, seq, payload, prev_mac=GENESIS):
-        return SealedBlob(
-            kind=kind, seq=seq, payload=payload, prev_mac=prev_mac,
-            mac=self.mac(kind, seq, payload, prev_mac),
-        )
+        return SealedBlob(kind, seq, payload, prev_mac,
+                          self.mac(kind, seq, payload, prev_mac))
 
     def verify(self, blob, expected_prev=None):
         """Check a blob's MAC (and, when given, its chain link); raises

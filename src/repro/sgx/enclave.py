@@ -65,6 +65,8 @@ class Enclave:
         Enclave._next_id += 1
         self.base = base
         self.size_pages = size_pages
+        #: One past the last valid enclave address (fixed at ECREATE).
+        self.limit = base + size_pages * PAGE_SIZE
         self.attributes = attributes or EnclaveAttributes()
         self.measurement = Measurement()
         self.initialized = False
@@ -82,11 +84,6 @@ class Enclave:
     @property
     def self_paging(self):
         return self.attributes.self_paging
-
-    @property
-    def limit(self):
-        """One past the last valid enclave address."""
-        return self.base + self.size_pages * PAGE_SIZE
 
     def contains(self, vaddr):
         return self.base <= vaddr < self.limit

@@ -113,6 +113,19 @@ class Epcm:
             return self._entries[pfn]
         raise self._outside(pfn)
 
+    def entries(self, pfns):
+        """The entries of frames ``pfns`` in order, as :meth:`entry`
+        returns them one by one (``IndexError`` at the first frame
+        outside the EPC)."""
+        entries = self._entries
+        total = self.total_pages
+        found = []
+        for pfn in pfns:
+            if not 0 <= pfn < total:
+                raise self._outside(pfn)
+            found.append(entries[pfn])
+        return found
+
     def _outside(self, pfn):
         return IndexError(
             f"pfn {pfn} outside the {self.total_pages}-frame EPC map")

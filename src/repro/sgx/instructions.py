@@ -253,9 +253,8 @@ class SgxInstructions:
         self.clock.charge(self.cost.eaug * count, Category.SGX_PAGING)
         pfns = self._install_pages(enclave, vaddrs, (None,) * count,
                                    (Permissions.RW,) * count, PageType.REG)
-        entry_of = self.epcm.entry
-        for pfn in pfns:
-            entry_of(pfn).pending = True
+        for entry in self.epcm.entries(pfns):
+            entry.pending = True
         if self.op_observer is not None:
             for vaddr in vaddrs:
                 self.op_observer("eaug", enclave, vaddr)
@@ -383,14 +382,13 @@ class SgxInstructions:
                 raise SgxError(f"{vaddr:#x} already backed by EPC")
         self.epoch.value += 1
         frames = self.epc.alloc_frames(len(vaddrs))
-        entry_of = self.epcm.entry
+        pfns = [frame.pfn for frame in frames]
+        entries = self.epcm.entries(pfns)
         enclave_id = enclave.enclave_id
-        pfns = []
         for i, frame in enumerate(frames):
             vaddr = vaddrs[i]
-            pfn = frame.pfn
             frame.contents = contents[i]
-            entry = entry_of(pfn)
+            entry = entries[i]
             entry.valid = True
             entry.page_type = page_type
             entry.enclave_id = enclave_id
@@ -399,12 +397,11 @@ class SgxInstructions:
             entry.pending = False
             entry.modified = False
             entry.blocked = False
-            backed[vaddr >> PAGE_SHIFT] = pfn
-            pfns.append(pfn)
+            backed[vaddr >> PAGE_SHIFT] = pfns[i]
         return pfns
 
     def _entry_for(self, enclave, vaddr):
-        pfn = enclave.backed.get(vpn_of(vaddr))
+        pfn = enclave.backed.get(vaddr >> PAGE_SHIFT)
         if pfn is None:
             raise SgxError(f"{vaddr:#x} not backed by EPC")
         return self.epcm.entry(pfn)

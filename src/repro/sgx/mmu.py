@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro.clock import Category
 from repro.errors import EpcmViolation, PageFault
-from repro.sgx.params import PAGE_SHIFT, AccessType, page_base
+from repro.sgx.params import PAGE_MASK, PAGE_SHIFT, AccessType
 
 
 class Mmu:
@@ -180,36 +180,46 @@ class Mmu:
         return pfn, fault
 
     def _walk(self, vaddr, access, enclave):
+        """The TLB-miss walk, in the order of the module docstring; the
+        SGX checks and Autarky's A/D check (§5.1.4) run here, inline.
+
+        The A/D check piggybacks on the EPCM lookup (already
+        SGX-specific), so it costs a fixed few cycles per fill and
+        touches no core MMU path.  A self-paging enclave's A/D bits are
+        never written back, honouring the assumption that prevents the
+        TOCTOU §5.1.4 discusses."""
         self.walks += 1
         self.clock.charge(self.cost.tlb_fill, Category.TLB_FILL)
 
         pte = self.page_table.lookup(vaddr)
         if pte is None or not pte.present:
-            return None, PageFault(
-                vaddr,
-                write=access is AccessType.WRITE,
-                exec_=access is AccessType.EXEC,
-                present=False,
-                reason="not present",
-            )
+            return None, PageFault(vaddr, access is AccessType.WRITE,
+                                   access is AccessType.EXEC, False,
+                                   "not present")
         if not pte.allows(access):
-            return None, PageFault(
-                vaddr,
-                write=access is AccessType.WRITE,
-                exec_=access is AccessType.EXEC,
-                present=True,
-                reason="protection",
-            )
+            return None, PageFault(vaddr, access is AccessType.WRITE,
+                                   access is AccessType.EXEC, True,
+                                   "protection")
 
-        in_enclave_region = enclave is not None and enclave.contains(vaddr)
-        if in_enclave_region:
-            fault = self._sgx_checks(vaddr, access, pte, enclave)
-            if fault is not None:
+        if enclave is not None and enclave.base <= vaddr < enclave.limit:
+            try:
+                self.epcm.check_access(pte.pfn, enclave.enclave_id,
+                                       vaddr & PAGE_MASK, access)
+            except EpcmViolation as exc:
+                fault = PageFault(vaddr, access is AccessType.WRITE,
+                                  access is AccessType.EXEC, True,
+                                  f"EPCM: {exc}")
+                fault.__cause__ = exc
                 return None, fault
-            if enclave.self_paging:
-                fault = self._autarky_ad_check(vaddr, access, pte)
-                if fault is not None:
-                    return None, fault
+            if enclave.attributes.self_paging:
+                self.ad_checks += 1
+                self.clock.charge(self.cost.autarky_ad_check,
+                                  Category.TLB_FILL)
+                if not (pte.accessed and pte.dirty):
+                    return None, PageFault(
+                        vaddr, access is AccessType.WRITE,
+                        access is AccessType.EXEC, True,
+                        "accessed/dirty cleared (Autarky)")
             else:
                 # Legacy behaviour: hardware sets A (and D on writes) —
                 # the observable the fault-free attack samples.
@@ -219,44 +229,6 @@ class Mmu:
 
         self.tlb.install(vaddr, pte.pfn, pte.writable, pte.executable)
         return pte.pfn, None
-
-    def _sgx_checks(self, vaddr, access, pte, enclave):
-        try:
-            self.epcm.check_access(
-                pte.pfn, enclave.enclave_id, page_base(vaddr), access
-            )
-        except EpcmViolation as exc:
-            fault = PageFault(
-                vaddr,
-                write=access is AccessType.WRITE,
-                exec_=access is AccessType.EXEC,
-                present=True,
-                reason=f"EPCM: {exc}",
-            )
-            fault.__cause__ = exc
-            return fault
-        return None
-
-    def _autarky_ad_check(self, vaddr, access, pte):
-        """§5.1.4: both bits must already be set or the PTE is invalid.
-
-        The check piggybacks on the EPCM lookup (already SGX-specific),
-        so it costs a fixed few cycles per fill and touches no core MMU
-        path.  We also never write A/D back for self-paging enclaves,
-        honouring the assumption that prevents the TOCTOU §5.1.4
-        discusses.
-        """
-        self.ad_checks += 1
-        self.clock.charge(self.cost.autarky_ad_check, Category.TLB_FILL)
-        if not (pte.accessed and pte.dirty):
-            return PageFault(
-                vaddr,
-                write=access is AccessType.WRITE,
-                exec_=access is AccessType.EXEC,
-                present=True,
-                reason="accessed/dirty cleared (Autarky)",
-            )
-        return None
 
     # Setting A/D bits to True is monotone-permissive: it can only
     # turn a would-be Autarky A/D fault into a hit, never invalidate a

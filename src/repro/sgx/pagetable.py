@@ -74,7 +74,7 @@ class PageTable:
 
     def lookup(self, vaddr):
         """Return the PTE covering ``vaddr`` or ``None`` if unmapped."""
-        return self._ptes.get(vpn_of(vaddr))
+        return self._ptes.get(vaddr >> PAGE_SHIFT)
 
     def mapped_vpns(self):
         """All VPNs with a present mapping (attacker enumeration)."""
