@@ -104,7 +104,8 @@ RULE_CATALOG = {
         "empty ambient write sets (--jobs N bit-identity)",
     "effects/hot-path-perf":
         "hot-path loops must avoid invariant re-lookup, per-iteration "
-        "allocation, and exception control flow",
+        "allocation, and exception control flow; hot functions must not "
+        "run import statements",
     "suppression/unused":
         "allow-annotations must suppress at least one finding (--strict)",
 }

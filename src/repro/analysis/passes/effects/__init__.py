@@ -9,7 +9,8 @@ the shared call graph and indexes every parallel-runner call site;
 * ``effects/parallel-purity`` — ``run_indexed`` task workers must
   have empty ambient write sets;
 * ``effects/hot-path-perf`` — hot-marked functions must keep their
-  loops free of invariant re-lookup, allocation, and exceptions.
+  loops free of invariant re-lookup, allocation, and exceptions, and
+  must not run import statements.
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ directly above) the ``def`` line — this checker flags, inside any
 * **exception-driven control flow** — a ``try`` inside the loop body;
   faults on the hot path use the returned-fault protocol
   (``translate_nofault``) precisely to avoid unwinding costs.
+
+and, anywhere in the function, an **import statement**: it runs the
+import machinery (a ``sys.modules`` lookup and a binding) on every
+call; import at module level instead.
 """
 
 from __future__ import annotations
@@ -59,6 +63,17 @@ def _is_hot(info, config, marker_lines):
 
 
 def _check_function(info, mod):
+    for node in ast.walk(info.node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield Finding(
+                path=mod.path, line=node.lineno, rule=RULE,
+                message=(
+                    f"hot function '{info.name}' runs an import "
+                    f"statement on every call"
+                ),
+                hint="import at module level",
+                module=mod.module,
+            )
     seen = set()
     for loop in ast.walk(info.node):
         if not isinstance(loop, (ast.For, ast.While)):

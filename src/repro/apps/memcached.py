@@ -14,6 +14,7 @@ with.
 
 from __future__ import annotations
 
+from repro.runtime.rate_limit import ProgressKind
 from repro.sgx.columnar import END_OF_KEYS
 from repro.sgx.params import PAGE_SIZE
 
@@ -90,6 +91,7 @@ class Memcached:
         self.engine.data_access(self.item_page(key), write=True)
         self.engine.compute(self.ITEM_COMPUTE)
 
+    # repro: hot
     def serve(self, keys, progress_kind=None):
         """Serve a GET stream, emitting one progress event per request
         (the "faults per socket receive" bound of §5.2.4).
@@ -101,7 +103,6 @@ class Memcached:
         run of requests it can settle in bulk (on the columnar tier:
         GETs whose cached trace replays as TLB hits); every other
         request takes that per-request path, in request order."""
-        from repro.runtime.rate_limit import ProgressKind
         kind = progress_kind or ProgressKind.IO
         engine = self.engine
         traces = self._trace_cache
