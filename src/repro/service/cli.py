@@ -1,6 +1,6 @@
 """``python -m repro serve`` — drive the multi-tenant enclave service.
 
-Two modes:
+Three modes, one per run (argparse refuses a second):
 
 * ``--smoke`` (also the CI gate): boot a 4-tenant fleet, drive ~200
   requests of mixed-policy traffic with the seed's fault plan, probe
@@ -24,7 +24,9 @@ Two modes:
 ``--baseline FILE`` gates any sweep output against a committed
 ``BENCH_service.json``: per-point digests must match bit-for-bit.  A
 baseline that cannot be read or pins no point is refused (exit 2)
-before any point runs.
+before any point runs.  ``--pool`` and ``--baseline`` are refused
+without ``--sweep``, and a fleet that cannot boot (``--smoke`` or
+``--plan``) is one ``cannot boot`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ import sys
 from repro.chaos.plan import check_keys
 from repro.cli import positive_int, writable
 from repro.core.digest import pin_mismatches, read_pinned
+from repro.errors import (
+    EnclaveCrashed,
+    EnclaveTerminated,
+    HostCallDenied,
+    SgxError,
+)
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.router import EnclaveService, ServiceConfig, run_service
 from repro.service.sweep import (
@@ -58,26 +66,28 @@ def build_parser():
         prog="repro serve",
         description="deterministic multi-tenant enclave service",
     )
-    parser.add_argument(
+    # One mode per run: a second one would be silently dropped.
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument(
         "--smoke", action="store_true",
         help="boot 4 tenants, drive ~200 requests, probe health, "
              "verify double-run digest equality",
     )
-    parser.add_argument(
+    modes.add_argument(
         "--sweep", action="store_true",
         help="cross-tenant EPC contention sweep (seeds x policies), "
              "emitting a JSON report",
+    )
+    modes.add_argument(
+        "--plan", metavar="FILE",
+        help="replay a frozen service fault plan (JSON envelope with "
+             "plan/config/expected_outcome, or a bare plan)",
     )
     parser.add_argument(
         "--pool", action="store_true",
         help="with --sweep: also run the pool-failover sweep "
              "(2-replica pools) and embed the throughput/fairness "
              "frontier in the report",
-    )
-    parser.add_argument(
-        "--plan", metavar="FILE",
-        help="replay a frozen service fault plan (JSON envelope with "
-             "plan/config/expected_outcome, or a bare plan)",
     )
     parser.add_argument(
         "--baseline", metavar="FILE",
@@ -121,6 +131,21 @@ def build_parser():
     return parser
 
 
+def booted(service, subject):
+    """Boot ``service``, or print one ``cannot boot`` line on stderr and
+    return False: a fleet its EPC cannot hold fails with the errors a
+    mid-run arrival that does not fit is refused on
+    (``EnclaveService._arrive``), and that is a bad configuration, not
+    a run to report."""
+    try:
+        service.boot()
+    except (SgxError, EnclaveTerminated, EnclaveCrashed,
+            HostCallDenied) as exc:
+        print(f"repro serve: cannot boot {subject}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _smoke_config(args):
     return ServiceConfig(
         seed=args.seed,
@@ -134,7 +159,9 @@ def run_smoke(args):
     from repro.service.router import EnclaveService
 
     service = EnclaveService(_smoke_config(args))
-    service.boot()
+    if not booted(service, f"{args.tenants} tenants on "
+                           f"{service.config.epc_pages} EPC pages"):
+        return 2
     boot_ready = service.ready()
     boot_health = service.health()
     result = service.run()
@@ -344,7 +371,12 @@ def run_plan(args):
         print(f"repro serve: cannot replay {args.plan}: {exc}",
               file=sys.stderr)
         return 2
-    result, rerun = [service.run() for service in services]
+    results = []
+    for service in services:
+        if not booted(service, args.plan):
+            return 2
+        results.append(service.run())
+    result, rerun = results
     checks = {
         "safe": result.safe,
         "digest_equal": result.digest == rerun.digest,
@@ -389,6 +421,9 @@ def run_plan(args):
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, given in (("--pool", args.pool), ("--baseline", args.baseline)):
+        if given and not args.sweep:
+            parser.error(f"{flag} applies only to --sweep")
     if args.plan:
         return run_plan(args)
     if args.sweep:

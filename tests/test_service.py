@@ -442,6 +442,19 @@ class TestServiceRun:
         assert service.metrics.aex_interrupts == 0
         assert result.safe, result.violations
 
+    def test_unbootable_smoke_fleet_is_one_error_line(self, capsys):
+        # Nine smoke tenants do not fit the smoke fleet's fixed 192-page
+        # EPC: the boot fails, and serve says so in one line instead of
+        # a traceback.
+        from repro.service.cli import run
+        assert run(["--smoke", "--tenants", "9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            "repro serve: cannot boot 9 tenants on 192 EPC pages: ")
+        assert "all 192 EPC pages are in use" in err
+
 
 class TestProbesAndDegradation:
     def test_ready_and_health_probes(self):
@@ -701,6 +714,19 @@ class TestFrozenWitness:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("repro serve: cannot replay")
+
+    def test_unbootable_plan_is_one_error_line(self, tmp_path, capsys):
+        # The committed witness on an EPC its fleet does not fit: the
+        # boot fails before either replay runs.
+        from repro.service.cli import run
+        plan = tmp_path / "small-epc.json"
+        plan.write_text(misspelt(WITNESS, ("config",), "epc_pages", 96))
+        assert run(["--plan", str(plan)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"repro serve: cannot boot {plan}: ")
+        assert "all 96 EPC pages are in use" in err
 
     def test_service_rejects_events_past_its_last_tick(self):
         plan = ServiceFaultPlan(seed=0, ticks=10, events=(
