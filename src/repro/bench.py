@@ -27,7 +27,8 @@ trajectory: a slice fingerprint that differs from the last entry's
 fails, and so does a slice speedup below ``REGRESSION_FLOOR`` (75%) of
 the median over the trailing ``GATE_WINDOW`` (5) entries with the same
 baseline tier.  A trajectory the gate cannot read, or whose last entry
-pins none of the slices, is refused before any slice runs.  See
+pins none of the slices, is refused before any slice runs, and so is
+``--baseline`` with ``--profile``, which runs no A/B.  See
 docs/performance.md for the schema.
 
 Wall-clock and timestamp reads here are the *measurement*, not chatter
@@ -46,7 +47,7 @@ from statistics import median
 
 from repro.apps.memcached import Memcached
 from repro.apps.uthash import UthashTable
-from repro.cli import writable
+from repro.cli import positive_int, writable
 from repro.core.config import SystemConfig
 from repro.core.digest import pin_mismatches, read_pinned
 from repro.core.system import AutarkySystem
@@ -289,12 +290,7 @@ def profile_slice(name, top=25):
     import cProfile
     import pstats
 
-    fn = dict(SLICES).get(name)
-    if fn is None:
-        raise SystemExit(
-            f"unknown slice {name!r}; choose from "
-            f"{', '.join(s[0] for s in SLICES)}"
-        )
+    fn = dict(SLICES)[name]
     profiler = cProfile.Profile()
     profiler.enable()
     fn(TIER_COLUMNAR)
@@ -352,14 +348,18 @@ def run(argv=None):
              "(see --profile-slice / --profile-top)",
     )
     parser.add_argument(
-        "--profile-slice", default="fig6_uthash", metavar="NAME",
+        "--profile-slice", default="fig6_uthash",
+        choices=[name for name, _ in SLICES],
         help="slice to profile with --profile (default: fig6_uthash)",
     )
     parser.add_argument(
-        "--profile-top", type=int, default=25, metavar="N",
+        "--profile-top", type=positive_int, default=25, metavar="N",
         help="rows of profile output (default: 25)",
     )
     args = parser.parse_args(argv)
+    if args.profile and args.baseline:
+        parser.error("--baseline gates the A/B run, which --profile "
+                     "replaces")
 
     if args.profile:
         profile_slice(args.profile_slice, top=args.profile_top)

@@ -60,6 +60,16 @@ def test_subcommand_help_and_bad_flag(command, flag, code, capsys):
     ["serve", "--sweep", "--seeds", "1", "--no-determinism-check",
      "--output", "nodir/x.json"],
     ["bench", "--output", "."],
+    # A flag that would run and report as if it had done its job.
+    ["serve", "--baseline", "BENCH_service.json"],
+    ["serve", "--smoke", "--baseline", "BENCH_service.json"],
+    ["serve", "--pool"],
+    ["serve", "--smoke", "--sweep"],
+    ["serve", "--plan", "plan.json", "--sweep"],
+    ["bench", "--profile", "--baseline"],
+    ["bench", "--profile", "--profile-slice", "nope"],
+    ["bench", "--profile", "--profile-top", "0"],
+    ["bench", "--profile", "--profile-top", "-3"],
 ])
 def test_out_of_range_value_is_refused(argv, tmp_path, monkeypatch,
                                        capsys):
