@@ -3,6 +3,8 @@
 import collections
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.nbench import NBENCH_KERNELS, run_kernel
 from repro.workloads.suites import SUITE_APPS, app_by_name, run_suite_app
@@ -31,7 +33,33 @@ class TestUniform:
             UniformGenerator(50, seed=9).keys(20)
 
 
+def fnv_per_byte(value):
+    """YCSB's scramble one byte at a time: 64-bit FNV-1 over the eight
+    low bytes of ``value``, least significant first."""
+    h = ZipfianGenerator.FNV_OFFSET
+    for _ in range(8):
+        h = ((h ^ (value & 0xFF)) * ZipfianGenerator.FNV_PRIME) % 2 ** 64
+        value >>= 8
+    return h
+
+
+#: Each byte-length boundary, the top of the 64-bit range and past it.
+FNV_EDGES = sorted({
+    max(0, (1 << 8 * k) + d) for k in range(10) for d in (-1, 0, 1)
+} | {2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64 + 0x1234, 2 ** 100 + 7})
+
+
 class TestZipfian:
+    def test_scramble_matches_the_per_byte_fnv(self):
+        # Every rank a 65,536-key store draws, and the edges.
+        for value in [*range(1 << 16), *FNV_EDGES]:
+            assert ZipfianGenerator._fnv(value) == fnv_per_byte(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 72))
+    def test_scramble_matches_the_per_byte_fnv_anywhere(self, value):
+        assert ZipfianGenerator._fnv(value) == fnv_per_byte(value)
+
     def test_range(self):
         gen = ZipfianGenerator(1_000, seed=3)
         assert all(0 <= k < 1_000 for k in gen.keys(2_000))
