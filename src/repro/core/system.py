@@ -79,13 +79,15 @@ class DirectEngine:
     through the runtime wrappers, minus the wrapper frames.
 
     Apps with repeating page traces plan them once with
-    :meth:`make_run` and replay the cached ``(run, cycles)`` pair with
-    :meth:`replay`; on the columnar tier both are rebound to the batch
-    interpreter (:mod:`repro.sgx.columnar`), at tier off they fall
-    back to the plain batched path — same observables either way.
-    A request server hands its key stream to :meth:`serve_window`,
-    which on the columnar tier settles each run of requests that are
-    steady-state replays in one bulk step.
+    :meth:`make_run`, a :class:`~repro.sgx.columnar.PageRun` that reads
+    or writes, and replay the cached ``(run, cycles)`` pair with
+    :meth:`replay`.  On the columnar tier ``replay`` is rebound to the
+    batch interpreter (:mod:`repro.sgx.columnar`); at tier off it issues
+    exactly the run's per-address accesses, with the run's access type,
+    as one batched run — same observables either way.  A request
+    server hands its key stream to :meth:`serve_window`, which on the
+    columnar tier settles each run of requests that are steady-state
+    replays in one bulk step.
     """
 
     def __init__(self, runtime):
@@ -100,26 +102,25 @@ class DirectEngine:
         self._bind_fastpath(kernel)
 
     def _bind_fastpath(self, kernel):
-        """Rebind the trace API to the columnar frontend when the
+        """Rebind the replay API to the columnar frontend when the
         machine was built with the columnar tier."""
         if kernel.cpu.columnar is not None:
             frontend = ReplayFrontend(kernel, self._enclave, self._tcs)
-            self.make_run = PageRun
             self.replay = frontend.replay
             self._replay_settled = frontend.replay_settled
             self.serve_window = self._serve_settled
 
-    def make_run(self, vaddrs):
-        """Plan a repeating page trace for :meth:`replay`.  Off the
-        columnar tier this is the identity on a list — the plain
-        batched path needs no plan."""
-        return list(vaddrs)
+    def make_run(self, vaddrs, write=False):
+        """Plan a repeating page trace of reads, or of writes, for
+        :meth:`replay`."""
+        return PageRun(vaddrs, write)
 
     def replay(self, trace):
-        """Replay a cached ``(run, cycles)`` trace: one batched read
-        run plus one bulk compute charge."""
+        """Replay a cached ``(run, cycles)`` trace: the run's accesses,
+        with its access type, as one batched run, plus one bulk compute
+        charge."""
         run, cycles = trace
-        self.data_access_run(run)
+        self.data_access_run(run.vaddrs, run.write)
         self._charge(cycles, Category.COMPUTE)
 
     def serve_window(self, keys, traces, request_cycles, kind):

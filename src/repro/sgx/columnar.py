@@ -1,22 +1,24 @@
-"""Columnar batch interpreter for fault-free read runs.
+"""Columnar batch interpreter for fault-free page runs.
 
 The PR 4 engine made a steady-state access cost one dict probe
 (:meth:`repro.sgx.mmu.Mmu.probe_run`); this module makes a steady-state
 *run* cost one integer compare.  It is a classic plan/compile/execute
 split:
 
-* **plan** — :class:`PageRun` packs a read trace (a sequence of page
-  base addresses) into an immutable column of virtual page numbers,
-  a packed ``array('q')``.  Plans are built once, by the app trace
-  caches through :meth:`repro.core.system.DirectEngine.make_run`, and
-  replayed many times by :class:`ReplayFrontend`.
+* **plan** — :class:`PageRun` packs a trace of one access type, read
+  or write (a sequence of page base addresses), into an immutable
+  column of virtual page numbers, a packed ``array('q')``.  Plans are
+  built once, by the app trace caches through
+  :meth:`repro.core.system.DirectEngine.make_run`, and replayed many
+  times by :class:`ReplayFrontend`.
 
 * **compile** — :meth:`ColumnarEngine.execute` resolves a plan against
   the *residency table*: the live TLB entry map, which is precisely
   the set of translations the page table, EPCM, and (for self-paging
   enclaves) the Autarky A/D check have already validated.  A run
-  compiles only if **every** page is TLB-resident, which is all a read
-  needs; the result is the plan's stamp, set to the
+  compiles only if **every** page's TLB entry allows its access: a
+  resident entry is all a read needs, a write needs a writable one;
+  the result is the plan's stamp, set to the
   :class:`~repro.sgx.epoch.TranslationEpoch` value it was compiled
   under.
 
@@ -35,13 +37,13 @@ inherited from the epoch contract proven by ``effects/epoch-soundness``:
 a compiled stamp can never outlive any translation-affecting mutation,
 because every such mutation bumps the epoch it was taken from.
 
-Why compiling from the TLB is equivalent: for a run of TLB-resident
-pages, the sequential loop performs N :meth:`~repro.sgx.tlb.Tlb.lookup`
-read hits — ``hits += 1`` each, no walk, no charge, no A/D write (the
-TLB caches translations past the page table, which is exactly the
-§5.1.4 time-of-check semantics).  The bulk replay performs the same N
-hits in one add.  Any page *not* in that state fails compilation and
-takes the sequential path unchanged.
+Why compiling from the TLB is equivalent: for a run of pages whose TLB
+entries allow its access, the sequential loop performs N
+:meth:`~repro.sgx.tlb.Tlb.lookup` hits — ``hits += 1`` each, no walk,
+no charge, no A/D write (the TLB caches translations past the page
+table, which is exactly the §5.1.4 time-of-check semantics).  The bulk
+replay performs the same N hits in one add.  Any page *not* in that
+state fails compilation and takes the sequential path unchanged.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ def pack_column(values):
 # -- the plan --------------------------------------------------------------
 
 class PageRun:
-    """A packed, reusable read trace — the columnar *plan*.
+    """A packed, reusable trace of one access type — the columnar
+    *plan*: ``write`` says whether every access of the run writes or
+    every access reads.
 
     Iterates as its page addresses, so the sequential path
     (``Mmu.probe_run`` and the replay in ``Cpu.access_run``) consumes
@@ -98,13 +102,14 @@ class PageRun:
     subscription machinery to get wrong.
     """
 
-    __slots__ = ("vaddrs", "vpns", "n", "stamp")
+    __slots__ = ("vaddrs", "vpns", "n", "write", "stamp")
 
-    def __init__(self, vaddrs):
+    def __init__(self, vaddrs, write=False):
         va = tuple(vaddrs)
         self.vaddrs = va
         self.n = len(va)
         self.vpns = pack_column([v >> PAGE_SHIFT for v in va])
+        self.write = write
         self.stamp = -1
 
     def __iter__(self):
@@ -118,7 +123,7 @@ class PageRun:
 
 
 class ColumnarEngine:
-    """Compiles read plans against the TLB residency table and executes
+    """Compiles plans against the TLB residency table and executes
     them.
 
     One instance per machine, owned by the :class:`HostKernel` when the
@@ -140,22 +145,29 @@ class ColumnarEngine:
 
     # repro: hot
     def execute(self, run):
-        """Execute a whole read run fault-free; returns whether it did.
+        """Execute a whole run fault-free; returns whether it did.
 
         A stamp match replays the run: ``tlb.hits += n`` in bulk,
         exactly N architectural TLB hits.  A stamp miss recompiles
-        against the current residency table, where a resident entry is
-        all a read needs (as in :meth:`repro.sgx.tlb.TlbEntry.allows`),
-        and stamps the run.  A compile miss (any page non-resident)
-        returns ``False`` with **no side effects**, and the caller falls
-        back to the sequential path.
+        against the current residency table, where every page's entry
+        must allow the run's access
+        (:meth:`repro.sgx.tlb.TlbEntry.allows`: a resident entry is all
+        a read needs, a write needs a writable one), and stamps the
+        run.  A compile miss returns ``False`` with **no side effects**,
+        and the caller falls back to the sequential path.
         """
         stamp = self.epoch.value
         if run.stamp != stamp:
             entries = self.entries
-            for vpn in run.vpns:
-                if vpn not in entries:
-                    return False
+            if run.write:
+                for vpn in run.vpns:
+                    entry = entries.get(vpn)
+                    if entry is None or not entry.allows(AccessType.WRITE):
+                        return False
+            else:
+                for vpn in run.vpns:
+                    if vpn not in entries:
+                        return False
             run.stamp = stamp
         self.tlb.hits += run.n
         return True
@@ -193,8 +205,8 @@ class ReplayFrontend:
 
     # repro: hot
     def replay(self, trace):
-        """Replay one cached trace: a read run plus a bulk compute
-        charge.  Equivalent to ``data_access_run(run)`` followed by
+        """Replay one cached trace: a run plus a bulk compute charge.
+        Equivalent to ``data_access_run(run, run.write)`` followed by
         ``compute(cycles)`` on any engine/tier."""
         enclave = self._enclave
         if enclave.dead:
@@ -252,8 +264,10 @@ class ReplayFrontend:
 
     def _slow(self, run):
         """Stamp miss: recompile, or fall back to the sequential run
-        engine (faults, epoch bumps, and A/D transitions land here)."""
+        engine with the run's access type (faults, epoch bumps, and A/D
+        transitions land here)."""
         if not self._columnar.execute(run):
             self._cpu.access_run(
-                self._enclave, self._tcs, run, AccessType.READ
+                self._enclave, self._tcs, run,
+                AccessType.WRITE if run.write else AccessType.READ,
             )

@@ -35,12 +35,12 @@ class RecordingEngine:
     def compute(self, cycles):
         self.cycles += cycles
 
-    def make_run(self, vaddrs):
-        return list(vaddrs)
+    def make_run(self, vaddrs, write=False):
+        return list(vaddrs), write
 
     def replay(self, trace):
-        run, cycles = trace
-        self.data_access_run(run)
+        (vaddrs, write), cycles = trace
+        self.data_access_run(vaddrs, write)
         self.cycles += cycles
 
     def progress(self, kind):
@@ -142,8 +142,13 @@ class TestMemcached:
 
     def test_set_writes(self):
         server = self._server()
-        server.set(17)
-        assert all(w for _, w in server.engine.data)
+        for _ in range(2):
+            server.set(17)
+        pair = [(server.index_page(17), True), (server.item_page(17), True)]
+        assert server.engine.data == pair * 2
+        assert server.engine.cycles == 2 * (server.REQUEST_COMPUTE
+                                            + server.ITEM_COMPUTE)
+        assert server.sets == 2
 
     def test_keys_map_to_distinct_pages(self):
         server = self._server()
@@ -160,6 +165,20 @@ class TestMemcached:
         server = self._server()
         with pytest.raises(KeyError):
             server.get(server.n_keys)
+
+    def test_rejected_set_has_no_effect(self):
+        # Also the second time: a key outside the store is never
+        # planned into the SET's cache.
+        server = self._server()
+        server.set(17)
+        sets, cycles = server.sets, server.engine.cycles
+        data = list(server.engine.data)
+        for key in (server.n_keys, -1, server.n_keys, -1):
+            with pytest.raises(KeyError):
+                server.set(key)
+        assert server.sets == sets == 1
+        assert server.engine.cycles == cycles
+        assert server.engine.data == data
 
     def test_rejected_get_has_no_effect(self):
         server = self._server()
