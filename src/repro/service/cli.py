@@ -24,8 +24,12 @@ Three modes, one per run (argparse refuses a second):
 ``--baseline FILE`` gates any sweep output against a committed
 ``BENCH_service.json``: per-point digests must match bit-for-bit.  A
 baseline that cannot be read or pins no point is refused (exit 2)
-before any point runs.  ``--pool`` and ``--baseline`` are refused
-without ``--sweep``, and a fleet that cannot boot (``--smoke`` or
+before any point runs.  A flag its mode would ignore is refused (exit
+2) before anything runs: ``--seed``, ``--tenants`` and ``--ticks``
+apply only to ``--smoke``; ``--seeds``, ``--jobs``,
+``--no-determinism-check``, ``--pool``, ``--baseline`` and ``--output``
+only to ``--sweep``; ``--plan`` reads none of them, and ``--format``
+applies to every mode.  A fleet that cannot boot (``--smoke`` or
 ``--plan``) is one ``cannot boot`` line and exit 2.
 """
 
@@ -60,6 +64,21 @@ from repro.service.tenant import TenantSpec, default_tenants
 SMOKE_TENANTS = 4
 SMOKE_TICKS = 20
 
+#: The flags only one mode reads: flag -> (that mode, its default).
+#: They parse to ``None`` when absent, so :func:`run` can refuse one
+#: given to a mode that would ignore it and fill in the default.
+MODE_FLAGS = {
+    "--seed": ("--smoke", 0),
+    "--tenants": ("--smoke", SMOKE_TENANTS),
+    "--ticks": ("--smoke", SMOKE_TICKS),
+    "--seeds": ("--sweep", 6),
+    "--jobs": ("--sweep", 1),
+    "--no-determinism-check": ("--sweep", False),
+    "--pool": ("--sweep", False),
+    "--baseline": ("--sweep", None),
+    "--output": ("--sweep", "BENCH_service.json"),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -83,46 +102,48 @@ def build_parser():
         help="replay a frozen service fault plan (JSON envelope with "
              "plan/config/expected_outcome, or a bare plan)",
     )
+    # Each flag below applies to one mode (MODE_FLAGS); its default is
+    # filled in by run().
     parser.add_argument(
-        "--pool", action="store_true",
+        "--pool", action="store_true", default=None,
         help="with --sweep: also run the pool-failover sweep "
              "(2-replica pools) and embed the throughput/fairness "
              "frontier in the report",
     )
     parser.add_argument(
         "--baseline", metavar="FILE",
-        help="gate the sweep report against a committed "
+        help="with --sweep: gate the sweep report against a committed "
              "BENCH_service.json (per-point digest equality)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="service seed (default: 0)",
+        "--seed", type=int, metavar="N",
+        help="with --smoke: service seed (default: 0)",
     )
     parser.add_argument(
-        "--seeds", type=positive_int, default=6, metavar="N",
-        help="sweep seeds 0..N-1 (default: 6)",
+        "--seeds", type=positive_int, metavar="N",
+        help="with --sweep: sweep seeds 0..N-1 (default: 6)",
     )
     parser.add_argument(
-        "--tenants", type=positive_int, default=SMOKE_TENANTS,
-        metavar="N",
-        help=f"fleet size (default: {SMOKE_TENANTS})",
+        "--tenants", type=positive_int, metavar="N",
+        help=f"with --smoke: fleet size (default: {SMOKE_TENANTS})",
     )
     parser.add_argument(
-        "--ticks", type=positive_int, default=SMOKE_TICKS, metavar="N",
-        help=f"arrival ticks to drive (default: {SMOKE_TICKS})",
+        "--ticks", type=positive_int, metavar="N",
+        help=f"with --smoke: arrival ticks to drive "
+             f"(default: {SMOKE_TICKS})",
     )
     parser.add_argument(
-        "--jobs", type=positive_int, default=1, metavar="N",
-        help="worker processes for the sweep; results are identical "
+        "--jobs", type=positive_int, metavar="N",
+        help="with --sweep: worker processes; results are identical "
              "to --jobs 1 (default: 1)",
     )
     parser.add_argument(
-        "--no-determinism-check", action="store_true",
-        help="run each sweep point once instead of twice",
+        "--no-determinism-check", action="store_true", default=None,
+        help="with --sweep: run each point once instead of twice",
     )
     parser.add_argument(
-        "--output", default="BENCH_service.json", metavar="PATH",
-        help="sweep report path (default: BENCH_service.json)",
+        "--output", metavar="PATH",
+        help="with --sweep: report path (default: BENCH_service.json)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -421,9 +442,13 @@ def run_plan(args):
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, given in (("--pool", args.pool), ("--baseline", args.baseline)):
-        if given and not args.sweep:
-            parser.error(f"{flag} applies only to --sweep")
+    mode = "--plan" if args.plan else "--sweep" if args.sweep else "--smoke"
+    for flag, (reader, default) in MODE_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif reader != mode:
+            parser.error(f"{flag} applies only to {reader}")
     if args.plan:
         return run_plan(args)
     if args.sweep:

@@ -66,6 +66,17 @@ def test_subcommand_help_and_bad_flag(command, flag, code, capsys):
     ["serve", "--pool"],
     ["serve", "--smoke", "--sweep"],
     ["serve", "--plan", "plan.json", "--sweep"],
+    # A flag its serve mode never reads (--pool and --baseline above).
+    *(["serve", "--plan", "plan.json", *flag] for flag in (
+        ["--seed", "5"], ["--tenants", "9"], ["--ticks", "3"],
+        ["--seeds", "2"], ["--jobs", "2"], ["--no-determinism-check"],
+        ["--output", "x.json"])),
+    ["serve", "--smoke", "--seeds", "2"],
+    ["serve", "--jobs", "2"],
+    ["serve", "--smoke", "--no-determinism-check"],
+    ["serve", "--output", "x.json"],
+    *(["serve", "--sweep", "--seeds", "1", "--no-determinism-check", *flag]
+      for flag in (["--seed", "3"], ["--tenants", "2"], ["--ticks", "2"])),
     ["bench", "--profile", "--baseline"],
     ["bench", "--profile", "--profile-slice", "nope"],
     ["bench", "--profile", "--profile-top", "0"],
