@@ -41,6 +41,12 @@ class ZipfianGenerator:
 
     FNV_OFFSET = 0xCBF29CE484222325
     FNV_PRIME = 0x100000001B3
+    #: ``FNV_PRIME ** k`` modulo 2**64, for k = 0..8: a zero byte's
+    #: FNV-1 step is one multiply by the prime, so the zero high bytes
+    #: of a value fold into one multiply.
+    FNV_PRIME_POWERS = tuple(
+        pow(prime, k, 1 << 64) for prime in (FNV_PRIME,) for k in range(9)
+    )
 
     def __init__(self, n, theta=0.99, seed=13, scrambled=True, rng=None):
         if n < 2:
@@ -79,12 +85,17 @@ class ZipfianGenerator:
 
     @classmethod
     def _fnv(cls, value):
+        """64-bit FNV-1 over the eight low bytes of ``value``, least
+        significant first; the zero bytes above its highest set byte
+        cost one multiply in all."""
+        value &= 0xFFFFFFFFFFFFFFFF
         h = cls.FNV_OFFSET
-        for _ in range(8):
-            byte = value & 0xFF
+        steps = 8
+        while value:
+            h = ((h ^ (value & 0xFF)) * cls.FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
             value >>= 8
-            h = ((h ^ byte) * cls.FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-        return h
+            steps -= 1
+        return (h * cls.FNV_PRIME_POWERS[steps]) & 0xFFFFFFFFFFFFFFFF
 
     def keys(self, count):
         return [self.next() for _ in range(count)]
