@@ -33,7 +33,7 @@ from operator import attrgetter
 
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan
-from repro.core.config import small_config
+from repro.core.config import SMALL_POLICIES, small_config
 from repro.core.digest import canonical_digest
 from repro.core.invariants import (
     dead_enclave,
@@ -60,13 +60,13 @@ from repro.sgx.params import PAGE_SIZE
 #: and its consequences to surface, short enough for CI smoke sweeps.
 N_OPS = 240
 
-#: Configurations the campaign sweeps by default: the three secure
-#: paging policies over SGX1, plus rate limiting over the SGX2 paging
-#: ops so the SGX2-only fault kinds (DENY_SGX2, EAUG_REFUSE against
-#: in-enclave paging) get a target.  ORAM is out of scope: its
-#: accesses never reach the paging path the chaos plans attack.
-DEFAULT_POLICIES = ("pin_all", "clusters", "rate_limit",
-                    "rate_limit_sgx2")
+#: Configurations the campaign sweeps by default, every policy
+#: ``small_config`` sizes: the three secure paging policies over SGX1,
+#: plus rate limiting over the SGX2 paging ops so the SGX2-only fault
+#: kinds (DENY_SGX2, EAUG_REFUSE against in-enclave paging) get a
+#: target.  ORAM is out of scope: its accesses never reach the paging
+#: path the chaos plans attack.
+DEFAULT_POLICIES = SMALL_POLICIES
 
 #: Ops after which a quota squeeze is released.
 QUOTA_RESTORE_AFTER = 30
@@ -80,6 +80,8 @@ OUTCOME_COMPLETED = "completed"
 OUTCOME_DEGRADED = "degraded"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_RECOVERED = "recovered"
+OUTCOMES = (OUTCOME_COMPLETED, OUTCOME_DEGRADED, OUTCOME_ABORTED,
+            OUTCOME_RECOVERED)
 
 #: Journal records between automatic checkpoint seals during a run.
 CHECKPOINT_EVERY = 64
@@ -263,7 +265,9 @@ class _ChaosRun(ScriptedEnclave):
             self.record(f"requested {event.param}, freed {freed}")
         elif kind in (FaultKind.TAMPER_BACKING, FaultKind.REPLAY_STALE):
             replay = kind is FaultKind.REPLAY_STALE
-            backing = self.kernel.backing
+            # Where this runtime's sealed pages live: the kernel's EWB
+            # store on SGX1, the runtime's own on SGX2.
+            backing = self.runtime.paging_ops.store
             targets = adversary.swapped_out(
                 self.kernel, self.enclave, backing, heap, stale=replay)
             if not targets:

@@ -14,11 +14,19 @@ import sys
 
 from repro.chaos.campaign import (
     DEFAULT_POLICIES,
+    OUTCOMES,
     check_plan,
     run_campaign,
     run_plan,
 )
-from repro.chaos.plan import CRASH_KINDS, FaultKind, FaultPlan, check_keys
+from repro.chaos.plan import (
+    CRASH_KINDS,
+    WITNESS_KEYS,
+    FaultKind,
+    FaultPlan,
+    read_plan_file,
+    to_json,
+)
 from repro.cli import name_list, positive_int
 
 #: A sweep must fire at least this many distinct fault kinds, or the
@@ -63,8 +71,8 @@ def build_parser():
         "--plan", metavar="FILE",
         help="replay one serialized FaultPlan (a model-checker witness "
              "or frozen regression) instead of sweeping seeds; the file "
-             "is FaultPlan.to_json() output, optionally wrapped as "
-             '{"plan": ..., "policy": ..., "expected_outcome": ...}',
+             "is a bare plan, or an envelope holding it under \"plan\" "
+             "beside " + ", ".join(WITNESS_KEYS),
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true",
@@ -106,20 +114,17 @@ def _replay_plan(args, policies):
     when the file carries an ``expected_outcome`` — the outcome class
     matched it."""
     try:
-        with open(args.plan, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        expected = None
-        if "plan" in payload:  # model-checker witness wrapper
-            check_keys(payload, ("plan", "policy", "expected_outcome",
-                                 "source_trace"), "envelope")
-            if payload.get("policy"):
-                policies = (payload["policy"],)
-            expected = payload.get("expected_outcome")
-            plan = FaultPlan.from_json(payload["plan"])
-        else:
-            plan = FaultPlan.from_json(payload)
+        plan, envelope = read_plan_file(args.plan, FaultPlan, WITNESS_KEYS)
+        policy = envelope.get("policy")
+        if policy:
+            if policy not in DEFAULT_POLICIES:
+                raise ValueError(f"unknown policy {policy!r}")
+            policies = (policy,)
+        expected = envelope.get("expected_outcome")
+        if expected not in (None, *OUTCOMES):
+            raise ValueError(f"unknown expected_outcome {expected!r}")
         check_plan(plan)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"repro chaos: cannot replay {args.plan}: {exc}",
               file=sys.stderr)
         return 2
@@ -133,7 +138,7 @@ def _replay_plan(args, policies):
     if args.format == "json":
         print(json.dumps({
             "ok": ok,
-            "plan": plan.to_json(),
+            "plan": to_json(plan),
             "expected_outcome": expected,
             "runs": [
                 {

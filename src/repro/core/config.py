@@ -81,6 +81,10 @@ class SystemConfig:
         )
 
 
+#: The policies :func:`small_config` sizes.
+SMALL_POLICIES = ("pin_all", "clusters", "rate_limit", "rate_limit_sgx2")
+
+
 def small_config(policy_name, epc_pages=1_024, quota_pages=128):
     """A small, paging-heavy system, so every hostile act has teeth: the
     chaos campaign runs it as is, and each service tenant over its

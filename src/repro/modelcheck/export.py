@@ -16,7 +16,14 @@ action order.
 
 from __future__ import annotations
 
-from repro.chaos.plan import FaultEvent, FaultKind, FaultPlan
+from repro.chaos.campaign import DEFAULT_POLICIES
+from repro.chaos.plan import (
+    WITNESS_KEYS,
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    to_json,
+)
 from repro.modelcheck.model import SQUEEZE_CUT
 
 #: First mapped event's campaign op index, and the spacing between
@@ -34,11 +41,6 @@ _ACTION_KINDS = {
     "balloon": (FaultKind.BALLOON_REQUEST, 2),
     "squeeze": (FaultKind.QUOTA_SQUEEZE, SQUEEZE_CUT),
 }
-
-#: Policies the chaos campaign can run (the model's ``oram`` and the
-#: seeded-bug ``broken`` world have no campaign counterpart).
-REPLAYABLE_POLICIES = ("pin_all", "clusters", "rate_limit",
-                       "rate_limit_sgx2")
 
 
 def plan_for_trace(policy_name, trace):
@@ -74,18 +76,15 @@ def _map_action(policy_name, action):
 def witness_payload(policy_name, trace, expected_outcome):
     """The ``--plan`` envelope for one witness trace, or ``None`` when
     the trace has no mappable hostile action or the policy has no
-    campaign counterpart."""
-    if policy_name not in REPLAYABLE_POLICIES:
+    campaign counterpart (the model's ``oram`` and the seeded-bug
+    ``broken`` world)."""
+    if policy_name not in DEFAULT_POLICIES:
         return None
     plan = plan_for_trace(policy_name, trace)
     if plan is None:
         return None
-    return {
-        "plan": plan.to_json(),
-        "policy": policy_name,
-        "expected_outcome": expected_outcome,
-        "source_trace": list(trace),
-    }
+    return {"plan": to_json(plan), **dict(zip(
+        WITNESS_KEYS, (policy_name, expected_outcome, list(trace))))}
 
 
 def export_witnesses(exploration):

@@ -1,7 +1,7 @@
 """Multi-tenant enclave service: deterministic admission, backpressure,
 and graceful degradation over one shared EPC (see docs/service.md)."""
 
-from repro.service.admission import PagingBudget, TokenBucket
+from repro.service.admission import TokenBucket
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.chaos import (
     ServiceFaultEvent,
@@ -38,7 +38,6 @@ __all__ = [
     "SHED_REASONS",
     "CircuitBreaker",
     "EnclaveService",
-    "PagingBudget",
     "RequestResult",
     "ServiceConfig",
     "ServiceFaultEvent",

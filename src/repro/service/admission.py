@@ -1,20 +1,22 @@
 """Admission control for the multi-tenant enclave service.
 
-Two deterministic rate controls guard the front door:
+One deterministic rate control, :class:`TokenBucket`, guards the front
+door twice per tenant, refilled from the *simulated* clock (never wall
+time):
 
-* :class:`TokenBucket` — classic token-bucket admission, refilled from
-  the *simulated* clock (never wall time), one bucket per tenant.  A
-  tenant that floods the service runs out of tokens and is shed with a
-  structured rejection instead of starving its neighbours.
+* the **request bucket** admits a request only if it can pay one token
+  (:meth:`TokenBucket.try_take`).  A tenant that floods the service
+  runs out of tokens and is shed with a structured rejection instead
+  of starving its neighbours.
 
-* :class:`PagingBudget` — the same bucket shape, but the currency is
-  EPC page fetches rather than requests.  Paging is the contended
-  resource in this regime (many tenants, one EPC): a tenant whose
-  requests thrash pays its paging debt before it may submit again, so
-  one thrashing working set cannot monopolize the shared paging
-  bandwidth.  Debt is charged *after* execution (the fetch count is
-  only known then), which is why the balance may go negative — the
-  bucket then refuses admission until simulated time repays it.
+* the **paging budget** counts EPC page fetches rather than requests.
+  Paging is the contended resource in this regime (many tenants, one
+  EPC): a tenant whose requests thrash pays its paging debt before it
+  may submit again, so one thrashing working set cannot monopolize the
+  shared paging bandwidth.  Debt is charged *after* execution
+  (:meth:`TokenBucket.charge`; the fetch count is only known then),
+  which is why the balance may go negative — :meth:`TokenBucket.admits`
+  then refuses new work until simulated time repays it.
 
 Everything is integer arithmetic over cycle counts, so admission
 decisions are bit-reproducible across runs and pool widths.
@@ -65,46 +67,14 @@ class TokenBucket:
             return True
         return False
 
-
-@dataclass
-class PagingBudget:
-    """A per-tenant budget of EPC page fetches, charged in arrears.
-
-    ``allowance`` pages regenerate every ``cycles_per_page`` simulated
-    cycles up to ``capacity``.  :meth:`charge` books the fetches a
-    request actually performed (possibly driving the balance negative);
-    :meth:`admits` refuses new work while the balance is non-positive.
-    """
-
-    capacity: int
-    cycles_per_page: int
-    balance: int = None
-    last_refill_cycles: int = 0
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("paging budget capacity must be at least 1")
-        if self.cycles_per_page < 1:
-            raise ValueError("refill period must be at least 1 cycle")
-        if self.balance is None:
-            self.balance = self.capacity
-
-    def refill(self, now_cycles):
-        elapsed = now_cycles - self.last_refill_cycles
-        if elapsed <= 0:
-            return
-        earned = elapsed // self.cycles_per_page
-        if earned > 0:
-            self.balance = min(self.capacity, self.balance + earned)
-            self.last_refill_cycles += earned * self.cycles_per_page
-
     def admits(self, now_cycles):
-        """Whether the tenant may submit new work right now."""
+        """Whether the balance is positive right now (nothing taken)."""
         self.refill(now_cycles)
-        return self.balance > 0
+        return self.tokens > 0
 
-    def charge(self, pages):
-        """Book ``pages`` fetches against the budget (post-execution)."""
-        if pages < 0:
-            raise ValueError(f"negative paging charge: {pages}")
-        self.balance -= pages
+    def charge(self, count):
+        """Book ``count`` units spent already; the balance may go
+        negative."""
+        if count < 0:
+            raise ValueError(f"negative charge: {count}")
+        self.tokens -= count

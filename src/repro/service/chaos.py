@@ -36,8 +36,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.chaos.plan import check_keys
-
 
 class ServiceFaultKind(str, Enum):
     TENANT_BURST = "tenant-burst"
@@ -63,33 +61,6 @@ class ServiceFaultEvent:
     #: Ticks the effect persists (burst / stall windows).
     duration: int = 0
 
-    def to_json(self):
-        return {
-            "kind": self.kind.value,
-            "at_tick": self.at_tick,
-            "tenant_index": self.tenant_index,
-            "param": self.param,
-            "duration": self.duration,
-        }
-
-    @staticmethod
-    def from_json(payload):
-        check_keys(payload, ("kind", "at_tick", "tenant_index", "param",
-                             "duration"), "event")
-        try:
-            kind = ServiceFaultKind(payload["kind"])
-        except ValueError:
-            raise ValueError(
-                f"unknown service fault kind {payload['kind']!r}"
-            ) from None
-        return ServiceFaultEvent(
-            kind=kind,
-            at_tick=int(payload["at_tick"]),
-            tenant_index=int(payload["tenant_index"]),
-            param=int(payload.get("param", 0)),
-            duration=int(payload.get("duration", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class ServiceFaultPlan:
@@ -98,15 +69,15 @@ class ServiceFaultPlan:
     Regenerating with the same ``(seed, ticks, n_tenants, tamperable)``
     yields the identical plan — the property that lets a service
     failure be replayed from nothing but its seed.  Plans also
-    round-trip through JSON (``to_json``/``from_json``) so a
-    model-checker witness or a hand-built regression scenario can be
-    frozen under ``tests/fixtures/chaos/`` and replayed with
-    ``repro serve --plan``.
+    round-trip through JSON (``repro.chaos.plan.to_json`` and
+    ``from_json``) so a hand-built regression scenario can be frozen
+    under ``tests/fixtures/chaos/`` and replayed with ``repro serve
+    --plan``.
     """
 
     seed: int
     ticks: int
-    events: tuple
+    events: tuple[ServiceFaultEvent, ...]
 
     def by_tick(self):
         table = {}
@@ -116,26 +87,6 @@ class ServiceFaultPlan:
 
     def kinds(self):
         return {event.kind for event in self.events}
-
-    def to_json(self):
-        return {
-            "seed": self.seed,
-            "ticks": self.ticks,
-            "events": [event.to_json() for event in self.events],
-        }
-
-    @staticmethod
-    def from_json(payload):
-        check_keys(payload, ("seed", "ticks", "events"), "plan")
-        events = tuple(
-            ServiceFaultEvent.from_json(entry)
-            for entry in payload.get("events", ())
-        )
-        return ServiceFaultPlan(
-            seed=int(payload["seed"]),
-            ticks=int(payload["ticks"]),
-            events=events,
-        )
 
     @staticmethod
     def generate(seed, ticks, n_tenants, tamperable=(), replicas=1):

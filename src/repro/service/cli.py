@@ -36,11 +36,10 @@ applies to every mode.  A fleet that cannot boot (``--smoke`` or
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
-from repro.chaos.plan import check_keys
+from repro.chaos.plan import check_keys, from_json, read_plan_file
 from repro.cli import positive_int, writable
 from repro.core.digest import pin_mismatches, read_pinned
 from repro.errors import (
@@ -52,7 +51,9 @@ from repro.errors import (
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.router import EnclaveService, ServiceConfig, run_service
 from repro.service.sweep import (
+    RUN_CLASSES,
     SWEEP_POLICIES,
+    classify,
     pool_report,
     run_pool_sweep,
     run_sweep,
@@ -336,7 +337,8 @@ def run_contention_sweep(args):
 
 # -- frozen-plan replay ------------------------------------------------------
 
-_SPEC_FIELDS = {f.name for f in dataclasses.fields(TenantSpec)}
+#: What a ``repro serve --plan`` envelope holds beside its ``plan``.
+ENVELOPE_KEYS = ("config", "expected_outcome", "description", "source")
 
 #: ``expected_outcome`` floors: key -> the result's count it bounds.
 _FLOORS = {
@@ -348,15 +350,11 @@ _FLOORS = {
 }
 
 
-def _spec_from_json(payload):
-    check_keys(payload, _SPEC_FIELDS, "tenant")
-    return TenantSpec(**payload)
-
-
 def _config_from_json(payload, plan):
     check_keys(payload, ("seed", "tenants", "epc_pages", "ticks"), "config")
     tenants = [
-        _spec_from_json(entry) for entry in payload.get("tenants", ())
+        from_json(TenantSpec, entry, f"config.tenants[{i}]")
+        for i, entry in enumerate(payload.get("tenants", ()))
     ] or default_tenants(4, replicas=2)
     return ServiceConfig(
         seed=int(payload.get("seed", plan.seed)),
@@ -372,17 +370,17 @@ def run_plan(args):
     exit 0 only if the run is safe, deterministic, and every expected
     floor (failovers, quarantines, completions...) holds."""
     try:
-        with open(args.plan, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        envelope = payload if "plan" in payload else {"plan": payload}
-        check_keys(envelope, ("plan", "config", "expected_outcome",
-                              "description", "source"), "envelope")
-        plan = ServiceFaultPlan.from_json(envelope["plan"])
+        plan, envelope = read_plan_file(args.plan, ServiceFaultPlan,
+                                        ENVELOPE_KEYS)
         expected = envelope.get("expected_outcome", {})
         check_keys(expected, (*_FLOORS, "outcome_class"),
                    "expected_outcome")
         floors = {key: int(expected[key])
                   for key in _FLOORS if key in expected}
+        if "outcome_class" in expected and \
+                expected["outcome_class"] not in RUN_CLASSES:
+            raise ValueError(f"unknown outcome_class "
+                             f"{expected['outcome_class']!r}")
         services = [
             EnclaveService(
                 _config_from_json(envelope.get("config", {}), plan))
@@ -405,7 +403,6 @@ def run_plan(args):
     for key, floor in floors.items():
         checks[key] = _FLOORS[key](result) >= floor
     if "outcome_class" in expected:
-        from repro.service.sweep import classify
         checks["outcome_class"] = (
             classify(result) == expected["outcome_class"]
         )

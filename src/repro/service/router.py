@@ -178,14 +178,21 @@ class EnclaveService:
         self._next_index = len(self.tenants)
         self.plan = cfg.fault_plan
         if self.plan is not None:
+            # A plan from outside must not pass on events that can
+            # never fire: the run's clock is its arrival ticks, and its
+            # tenants are the fleet and the tenants arriving mid-run.
+            fleet = len(cfg.tenants) + len(cfg.arrivals)
             for event in self.plan.events:
-                # A plan from outside must not pass on events that can
-                # never fire: the run's clock is its arrival ticks.
+                where = f"{event.kind.value}@tick{event.at_tick}"
                 if not 0 <= event.at_tick < cfg.ticks:
                     raise ValueError(
-                        f"{event.kind.value}@tick{event.at_tick}: "
-                        f"at_tick is outside the run's ticks "
+                        f"{where}: at_tick is outside the run's ticks "
                         f"0..{cfg.ticks - 1}"
+                    )
+                if not 0 <= event.tenant_index < fleet:
+                    raise ValueError(
+                        f"{where}: tenant_index is outside the run's "
+                        f"tenants 0..{fleet - 1}"
                     )
         else:
             max_width = max(
@@ -495,7 +502,7 @@ class EnclaveService:
             return
         handle, record = target_pair
         runtime = record.runtime
-        backing = self.kernel.backing
+        backing = runtime.paging_ops.store
         swapped = adversary.swapped_out(
             self.kernel, runtime.enclave, backing, runtime.regions["heap"]
         )

@@ -33,6 +33,7 @@ RUN_COMPLETED = "completed"
 RUN_DEGRADED = "degraded-within-budget"
 RUN_SHED = "shed-within-budget"
 RUN_ABORTED = "aborted-structured"
+RUN_CLASSES = (RUN_COMPLETED, RUN_DEGRADED, RUN_SHED, RUN_ABORTED)
 
 #: EPC sizing for sweep points: four tenants × 128-page quotas = 512
 #: pages of quota over 224 pages of EPC, and combined working sets

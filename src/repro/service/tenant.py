@@ -20,10 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import small_config
+from repro.core.config import SMALL_POLICIES, small_config
 from repro.core.system import EnclaveProgram, HeapWarmup
 from repro.runtime.rate_limit import ProgressKind
-from repro.service.admission import PagingBudget, TokenBucket
+from repro.service.admission import TokenBucket
 from repro.service.breaker import CircuitBreaker
 from repro.service.metrics import LatencyWindow
 from repro.sgx.params import PAGE_SIZE
@@ -57,7 +57,7 @@ class TenantSpec:
     """Declarative description of one tenant."""
 
     name: str
-    policy: str = "rate_limit"          # pin_all | clusters | rate_limit
+    policy: str = "rate_limit"          # one of SMALL_POLICIES
     distribution: str = "uniform"       # YCSB generator name
     #: Requests this tenant submits per router tick (its offered load).
     arrivals_per_tick: int = 2
@@ -91,6 +91,8 @@ class TenantSpec:
     slo_window: int = 32
 
     def __post_init__(self):
+        if self.policy not in SMALL_POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}")
         if not 1 <= self.replicas <= MAX_REPLICAS:
             raise ValueError(
                 f"pool width must be 1..{MAX_REPLICAS}, "
@@ -153,9 +155,9 @@ class Tenant:
             capacity=spec.bucket_capacity,
             cycles_per_token=spec.cycles_per_token,
         )
-        self.paging = PagingBudget(
+        self.paging = TokenBucket(
             capacity=spec.paging_capacity,
-            cycles_per_page=spec.cycles_per_page,
+            cycles_per_token=spec.cycles_per_page,
         )
         self.breaker = CircuitBreaker(trip_after=spec.breaker_trip_after)
         self.latency = LatencyWindow(capacity=spec.slo_window)

@@ -526,16 +526,7 @@ class TestCampaign:
                 run_plan(FaultPlan(seed=0, events=(event,)), "rate_limit")
 
     @pytest.mark.parametrize("policy", [
-        "rate_limit",
-        "clusters",
-        pytest.param("rate_limit_sgx2", marks=pytest.mark.xfail(
-            strict=True,
-            reason="the campaign's tamper-backing and replay-stale look "
-                   "only in the kernel backing store, but SGX2 in-enclave "
-                   "paging seals pages into a store the runtime owns: "
-                   "under rate_limit_sgx2 every such event skips with "
-                   "'no swapped-out heap page to attack' and none lands")),
-    ])
+        "rate_limit", "clusters", "rate_limit_sgx2"])
     def test_tamper_backing_lands(self, policy):
         plan = FaultPlan(seed=0, events=(
             FaultEvent(FaultKind.TAMPER_BACKING, at_op=200),))
@@ -601,6 +592,16 @@ class TestChaosCli:
         assert "attack-detected" in out
         assert "verdict: OK" in out
 
+    def test_sgx2_tamper_witness_replays(self, capsys):
+        # SGX2 paging seals pages into a store the runtime owns: the
+        # host's forgery must land there and fail stop the run.
+        from repro.chaos.cli import run
+        witness = FIXTURES / "rate_limit_sgx2_tamper_witness.json"
+        assert run(["--plan", str(witness)]) == 0
+        out = capsys.readouterr().out
+        assert "rate_limit_sgx2 aborted   reason=integrity" in out
+        assert "verdict: OK" in out
+
     @pytest.mark.parametrize("name, events", [
         ("missing.json", None),
         ("not-json.json", "not json"),
@@ -620,6 +621,16 @@ class TestChaosCli:
             "at-tick-beside-at-op.json",
             misspelt(WITNESS, ("plan", "events", 0), "at_tick", 3),
             id="at-tick-beside-at-op.json"),
+        # A policy the campaign cannot boot, and an outcome no run can
+        # end in: a traceback, and a replay that can only print FAIL.
+        pytest.param(
+            "unknown-policy.json",
+            misspelt(WITNESS, (), "policy", "nope"),
+            id="unknown-policy.json"),
+        pytest.param(
+            "unknown-outcome.json",
+            misspelt(WITNESS, (), "expected_outcome", "explode"),
+            id="unknown-outcome.json"),
     ])
     def test_unusable_plan_is_one_error_line(self, tmp_path, capsys,
                                               name, events):

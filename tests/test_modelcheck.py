@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.chaos.campaign import run_plan
-from repro.chaos.plan import FaultPlan
+from repro.chaos.plan import FaultPlan, from_json
 from repro.errors import SgxError
 from repro.modelcheck import poolworld
 from repro.recovery.supervisor import RUNNING
@@ -291,7 +291,7 @@ class TestWitnessExport:
     def test_payload_roundtrips_through_fault_plan(self):
         payload = witness_payload(
             "rate_limit", ("touch:0", "unmap"), "aborted")
-        plan = FaultPlan.from_json(payload["plan"])
+        plan = from_json(FaultPlan, payload["plan"], "plan")
         assert plan == plan_for_trace("rate_limit", ("touch:0", "unmap"))
         assert payload["policy"] == "rate_limit"
         assert payload["expected_outcome"] == "aborted"
@@ -301,7 +301,7 @@ class TestWitnessExport:
         payloads = export_witnesses(result)
         payload = payloads["aborted/attack-detected"]
         run_ = run_plan(
-            FaultPlan.from_json(payload["plan"]), payload["policy"])
+            from_json(FaultPlan, payload["plan"], "plan"), payload["policy"])
         assert run_.safe
         assert run_.outcome == payload["expected_outcome"]
 

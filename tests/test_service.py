@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos.plan import from_json, to_json
 from repro.errors import EnclaveCrashed, EpcExhausted, Quarantined
 from repro.host.kernel import HostKernel
 from repro.recovery.supervisor import RUNNING, RecoverySupervisor
-from repro.service.admission import PagingBudget, TokenBucket
+from repro.service.admission import TokenBucket
 from repro.service.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -82,7 +83,7 @@ class TestTokenBucket:
 
 class TestPagingBudget:
     def test_charges_in_arrears_and_recovers(self):
-        budget = PagingBudget(capacity=10, cycles_per_page=1_000)
+        budget = TokenBucket(capacity=10, cycles_per_token=1_000)
         assert budget.admits(0)
         budget.charge(25)                  # thrashed: 15 pages in debt
         assert not budget.admits(0)
@@ -90,7 +91,7 @@ class TestPagingBudget:
         assert budget.admits(16_000)
 
     def test_balance_caps_at_capacity(self):
-        budget = PagingBudget(capacity=5, cycles_per_page=10)
+        budget = TokenBucket(capacity=5, cycles_per_token=10)
         assert budget.admits(1_000_000)
         budget.charge(5)
         assert not budget.admits(1_000_000)
@@ -293,23 +294,23 @@ class TestServiceFaultPlan:
     def test_json_round_trip_is_identity(self):
         plan = ServiceFaultPlan.generate(3, 20, 4, tamperable=(0, 2),
                                          replicas=2)
-        clone = ServiceFaultPlan.from_json(
-            json.loads(json.dumps(plan.to_json()))
-        )
+        clone = from_json(ServiceFaultPlan,
+                          json.loads(json.dumps(to_json(plan))), "plan")
         assert clone == plan
         assert clone.canonical() == plan.canonical()
 
     def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown service fault"):
-            ServiceFaultEvent.from_json(
-                {"kind": "meteor-strike", "at_tick": 1,
-                 "tenant_index": 0}
-            )
+        with pytest.raises(ValueError,
+                           match="not a valid ServiceFaultKind"):
+            from_json(ServiceFaultEvent,
+                      {"kind": "meteor-strike", "at_tick": 1,
+                       "tenant_index": 0}, "event")
 
     def test_defaults_fill_param_and_duration(self):
-        event = ServiceFaultEvent.from_json(
-            {"kind": "tenant-burst", "at_tick": 4, "tenant_index": 2}
-        )
+        event = from_json(
+            ServiceFaultEvent,
+            {"kind": "tenant-burst", "at_tick": 4, "tenant_index": 2},
+            "event")
         assert event.kind is ServiceFaultKind.TENANT_BURST
         assert (event.param, event.duration) == (0, 0)
 
@@ -609,6 +610,29 @@ class TestLiveChurn:
                    for event in service.skipped_events)
 
 
+# -- tampering with SGX2 paging ------------------------------------------------
+
+class TestSgx2Tamper:
+    def test_tampers_abort_with_integrity(self):
+        # SGX2 paging seals a tenant's pages into a store its runtime
+        # owns, not the kernel's: the host's forgeries must land there
+        # and the probing requests fail stop.
+        plan = ServiceFaultPlan(seed=0, ticks=12, events=tuple(
+            ServiceFaultEvent(ServiceFaultKind.TENANT_TAMPER, tick, 0)
+            for tick in (4, 6, 8, 10)))
+        service = EnclaveService(ServiceConfig(
+            seed=0, ticks=12, fault_plan=plan,
+            tenants=[TenantSpec(name="sgx2", policy="rate_limit_sgx2",
+                                quota_pages=48)]))
+        result = service.run()
+        assert result.safe, result.violations
+        assert not service.skipped_events
+        # The first two aborts trip the breaker, which sheds the rest
+        # of the run, so the last two forgeries are never probed.
+        assert result.abort_reasons == {"integrity": 2}
+        assert result.shed_by_reason == {"breaker-open": 10}
+
+
 # -- pooled fleets: failover under the pool fault family ----------------------
 
 def _pooled_config():
@@ -698,6 +722,21 @@ class TestFrozenWitness:
             "floor-not-a-number.json",
             misspelt(WITNESS, ("expected_outcome",), "min_failovers", "many"),
             id="floor-not-a-number.json"),
+        # A tenant policy no fleet can boot, an outcome class no run
+        # can end in, and an event aimed at a tenant the fleet lacks.
+        pytest.param(
+            "unknown-policy.json",
+            misspelt(WITNESS, ("config", "tenants", 0), "policy", "nope"),
+            id="unknown-policy.json"),
+        pytest.param(
+            "unknown-outcome-class.json",
+            misspelt(WITNESS, ("expected_outcome",), "outcome_class",
+                     "bogus"),
+            id="unknown-outcome-class.json"),
+        pytest.param(
+            "no-such-tenant.json",
+            misspelt(WITNESS, ("plan", "events", 0), "tenant_index", 7),
+            id="no-such-tenant.json"),
     ])
     def test_unusable_plan_is_one_error_line(self, tmp_path, capsys,
                                               name, text):
@@ -734,6 +773,23 @@ class TestFrozenWitness:
         with pytest.raises(ValueError, match="at_tick"):
             EnclaveService(ServiceConfig(seed=0, ticks=10,
                                          fault_plan=plan))
+
+    def test_service_rejects_events_for_no_tenant(self):
+        # Tenant 2 of a two-tenant fleet exists only once one arrives
+        # mid-run.
+        plan = ServiceFaultPlan(seed=0, ticks=10, events=(
+            ServiceFaultEvent(ServiceFaultKind.TENANT_BURST, 6, 2,
+                              param=3, duration=2),))
+        config = ServiceConfig(seed=0, tenants=default_tenants(2),
+                               ticks=10, fault_plan=plan)
+        with pytest.raises(ValueError, match="tenant_index"):
+            EnclaveService(config)
+        config.arrivals = ((4, TenantSpec(name="late")),)
+        service = EnclaveService(config)
+        result = service.run()
+        assert result.safe, result.violations
+        assert service.metrics.arrivals == 1
+        assert not service.skipped_events
 
 
 class TestPoolSweep:
