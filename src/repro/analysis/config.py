@@ -151,6 +151,9 @@ class AnalysisConfig:
         # cost is folded into the EWB figure, so charging would count
         # it twice.
         "eblock_pages",
+        # The SGX1 paging instructions' check phases: a check phase
+        # charges nothing, and its instruction charges.
+        "eblock_check", "ewb_check", "eldu_check",
     }))
     #: A call through one of these receiver names is assumed to charge
     #: when the call graph cannot resolve the callee at all.  The list

@@ -79,7 +79,9 @@ class SgxInstructions:
         self._check_range(enclave, vaddr)
         if enclave.initialized:
             raise SgxError("EADD after EINIT")
-        pfn = self._install(enclave, vaddr, contents, perms, page_type)
+        self._require_unbacked(enclave, (vaddr,))
+        pfn = self._install_pages(enclave, (vaddr,), (contents,), (perms,),
+                                  page_type)[0]
         enclave.measurement.extend("EADD", vaddr)
         self._observe("eadd", enclave, vaddr)
         return pfn
@@ -103,10 +105,16 @@ class SgxInstructions:
     #
     # Each instruction is implemented over a page list and the
     # single-page form is a batch of one, so both run the same checks in
-    # the same order.  A batch checks all of its pages before it commits
-    # any of them (ELDU, like a single ELDU, consumes the blobs before it
-    # allocates frames), and a driver that validated a whole batch first
-    # commits it with one epoch bump and one charge.
+    # the same order.  A page-list instruction is two phases: its check
+    # phase (``eblock_check``, ``ewb_check``, ``eldu_check``) has no side
+    # effect and returns what it looked up, and its commit phase makes
+    # the changes from that, so a batch checks all of its pages before it
+    # commits any of them.  EBLOCK and EWB bump the epoch, and EWB and
+    # ELDU charge, before they check: a batch that fails its check has
+    # been paid for.  A driver that validated a whole batch with the
+    # check phases passes what they returned to the instruction, which
+    # then commits without checking again; so each check runs once per
+    # page.
 
     # EBLOCK's few hundred cycles are folded into the EWB figure the
     # cost model calibrates against (§7.1 measures the eviction
@@ -119,27 +127,28 @@ class SgxInstructions:
         window ETRACK exists to close)."""
         self.eblock_pages(enclave, (vaddr,))
 
-    def eblock_pages(self, enclave, vaddrs):
-        """EBLOCK every page of ``vaddrs``."""
+    def eblock_pages(self, enclave, vaddrs, found=None):
+        """EBLOCK every page of ``vaddrs``.  ``found`` is what
+        :meth:`eblock_check` returned for them, when the caller ran it."""
         self.epoch.value += 1
-        if len(vaddrs) > 1:
-            self._require_distinct("EBLOCK", vaddrs)
-        backed = enclave.backed
-        entry_of = self.epcm.entry
-        entries = []
-        for vaddr in vaddrs:
-            pfn = backed.get(vaddr >> PAGE_SHIFT)
-            if pfn is None:
-                raise SgxError(f"{vaddr:#x} not backed by EPC")
-            entry = entry_of(pfn)
-            if entry.blocked:
-                raise SgxError(f"EBLOCK: {vaddr:#x} already blocked")
-            entries.append(entry)
-        for entry in entries:
+        if found is None:
+            found = self.eblock_check(enclave, vaddrs)
+        for entry in found[1]:
             entry.blocked = True
         if self.op_observer is not None:
             for vaddr in vaddrs:
                 self.op_observer("eblock", enclave, vaddr)
+
+    def eblock_check(self, enclave, vaddrs):
+        """EBLOCK's check phase: every page appears once, is backed and
+        is not blocked yet.  Returns the pages' PFNs and EPCM entries."""
+        if len(vaddrs) > 1:
+            self._require_distinct("EBLOCK", vaddrs)
+        found = self._backed_entries("", enclave, vaddrs)
+        for vaddr, entry in zip(vaddrs, found[1]):
+            if entry.blocked:
+                raise SgxError(f"EBLOCK: {vaddr:#x} already blocked")
+        return found
 
     def ewb(self, enclave, vaddr):
         """Evict a page: seal contents, free the frame, return the blob.
@@ -152,44 +161,23 @@ class SgxInstructions:
         """
         return self.ewb_pages(enclave, (vaddr,))[0]
 
-    def ewb_pages(self, enclave, vaddrs):
+    def ewb_pages(self, enclave, vaddrs, found=None):
         """EWB every page of ``vaddrs``; returns the sealed blobs in
-        order.  Frames go back to the free list in page order."""
+        order.  Frames go back to the free list in page order.
+        ``found`` is what :meth:`eblock_check` returned for the same
+        pages when the caller EBLOCKed them with it: EWB's check phase
+        then reuses its lookups."""
         self.epoch.value += 1
         self.clock.charge(self.cost.ewb * len(vaddrs), Category.SGX_PAGING)
-        if len(vaddrs) > 1:
-            self._require_distinct("EWB", vaddrs)
-        backed = enclave.backed
-        entry_of = self.epcm.entry
-        frame_of = self.epc.frame
-        cached = self.tlb.residency() if self.tlb is not None else {}
-        entries, frames, bases, contents = [], [], [], []
-        for vaddr in vaddrs:
-            vpn = vaddr >> PAGE_SHIFT
-            pfn = backed.get(vpn)
-            if pfn is None:
-                raise SgxError(f"EWB: {vaddr:#x} not backed by EPC")
-            entry = entry_of(pfn)
-            if not entry.blocked:
-                raise SgxError(
-                    f"EWB: {vaddr:#x} not blocked (EBLOCK required first)"
-                )
-            if vpn in cached:
-                raise SgxError(
-                    f"EWB: stale TLB translation for {vaddr:#x} "
-                    "(ETRACK shootdown incomplete)"
-                )
-            frame = frame_of(pfn)
-            entries.append(entry)
-            frames.append(frame)
-            bases.append(vaddr & PAGE_MASK)
-            contents.append(frame.contents)
-        sealed = self.hw_crypto.seal_pages(enclave.enclave_id, bases,
-                                           contents)
+        entries, frames = self.ewb_check(enclave, vaddrs, found)
+        sealed = self.hw_crypto.seal_pages(
+            enclave.enclave_id, [vaddr & PAGE_MASK for vaddr in vaddrs],
+            [frame.contents for frame in frames])
         for entry in entries:
             entry.valid = False
             entry.blocked = False
         self.epc.free_frames(frames)
+        backed = enclave.backed
         for vaddr in vaddrs:
             del backed[vaddr >> PAGE_SHIFT]
         if self.op_observer is not None:
@@ -197,32 +185,69 @@ class SgxInstructions:
                 self.op_observer("ewb", enclave, vaddr)
         return sealed
 
+    def ewb_check(self, enclave, vaddrs, found=None):
+        """EWB's check phase: every page appears once, is backed and
+        blocked, and no TLB still caches its translation.  The last two
+        hold only once EBLOCK has committed and the translations were
+        shot down, so this runs inside EWB; ``found`` is what
+        :meth:`eblock_check` looked up for the same pages, if it ran.
+        Returns the pages' EPCM entries and frames."""
+        if found is None:
+            if len(vaddrs) > 1:
+                self._require_distinct("EWB", vaddrs)
+            found = self._backed_entries("EWB: ", enclave, vaddrs)
+        pfns, entries = found
+        cached = self.tlb.residency() if self.tlb is not None else {}
+        frame_of = self.epc.frame
+        frames = []
+        for vaddr, pfn, entry in zip(vaddrs, pfns, entries):
+            if not entry.blocked:
+                raise SgxError(
+                    f"EWB: {vaddr:#x} not blocked (EBLOCK required first)"
+                )
+            if vaddr >> PAGE_SHIFT in cached:
+                raise SgxError(
+                    f"EWB: stale TLB translation for {vaddr:#x} "
+                    "(ETRACK shootdown incomplete)"
+                )
+            frames.append(frame_of(pfn))
+        return entries, frames
+
     def eldu(self, enclave, vaddr, sealed, perms=Permissions.RW):
         """Reload an evicted page, verifying integrity and freshness."""
         return self.eldu_pages(enclave, (vaddr,), (sealed,), (perms,))[0]
 
-    def eldu_pages(self, enclave, vaddrs, blobs, perms):
+    def eldu_pages(self, enclave, vaddrs, blobs, perms, contents=None):
         """ELDU each ``(vaddr, sealed blob, permissions)`` triple; returns
         the new PFNs in order.  Every blob is verified before any is
-        consumed, so a batch with one bad blob loads nothing."""
-        low, high = enclave.base, enclave.limit
-        bases = []
-        for vaddr in vaddrs:
-            if not low <= vaddr < high:
-                self._check_range(enclave, vaddr)
-            bases.append(vaddr & PAGE_MASK)
+        consumed, so a batch with one bad blob loads nothing.
+        ``contents`` is what :meth:`eldu_check` returned for the batch,
+        when the caller ran it."""
         self.clock.charge(self.cost.eldu * len(vaddrs), Category.SGX_PAGING)
-        if len(vaddrs) > 1:
-            self._require_distinct("ELDU", vaddrs)
-        crypto = self.hw_crypto
-        contents = crypto.verify_pages(enclave.enclave_id, bases, blobs)
-        crypto.consume(enclave.enclave_id, bases)
+        if contents is None:
+            contents = self.eldu_check(enclave, vaddrs, blobs)
+        self.hw_crypto.consume(enclave.enclave_id, vaddrs)
         pfns = self._install_pages(enclave, vaddrs, contents, perms,
                                    PageType.REG)
         if self.op_observer is not None:
             for vaddr in vaddrs:
                 self.op_observer("eldu", enclave, vaddr)
         return pfns
+
+    def eldu_check(self, enclave, vaddrs, blobs):
+        """ELDU's check phase: every page lies in the enclave, is page
+        aligned, appears once and is not backed yet, and its blob
+        verifies (enclave, address, outstanding version and MAC).
+        Returns the verified contents in order."""
+        low, high = enclave.base, enclave.limit
+        for vaddr in vaddrs:
+            if not low <= vaddr < high:
+                self._check_range(enclave, vaddr)
+        if len(vaddrs) > 1:
+            self._require_distinct("ELDU", vaddrs)
+        self._require_unbacked(enclave, vaddrs)
+        return self.hw_crypto.verify_pages(enclave.enclave_id, vaddrs,
+                                           blobs)
 
     # -- SGX2 dynamic memory management ------------------------------------
     #
@@ -251,6 +276,7 @@ class SgxInstructions:
                 hook("eaug", enclave, vaddr)
         count = len(vaddrs)
         self.clock.charge(self.cost.eaug * count, Category.SGX_PAGING)
+        self._require_unbacked(enclave, vaddrs)
         pfns = self._install_pages(enclave, vaddrs, (None,) * count,
                                    (Permissions.RW,) * count, PageType.REG)
         for entry in self.epcm.entries(pfns):
@@ -367,19 +393,21 @@ class SgxInstructions:
 
     # -- helpers -----------------------------------------------------------
 
-    def _install(self, enclave, vaddr, contents, perms, page_type):
-        return self._install_pages(enclave, (vaddr,), (contents,),
-                                   (perms,), page_type)[0]
-
-    def _install_pages(self, enclave, vaddrs, contents, perms, page_type):
-        """Back each page with a fresh frame (allocated in page order)
-        and a valid EPCM entry; returns the PFNs."""
+    @staticmethod
+    def _require_unbacked(enclave, vaddrs):
+        """Every page is page aligned and not backed by EPC yet: what
+        :meth:`_install_pages` needs."""
         backed = enclave.backed
         for vaddr in vaddrs:
             if vaddr % PAGE_SIZE:
                 raise SgxError(f"unaligned enclave page {vaddr:#x}")
             if vaddr >> PAGE_SHIFT in backed:
                 raise SgxError(f"{vaddr:#x} already backed by EPC")
+
+    def _install_pages(self, enclave, vaddrs, contents, perms, page_type):
+        """Back each page with a fresh frame (allocated in page order)
+        and a valid EPCM entry; returns the PFNs."""
+        backed = enclave.backed
         self.epoch.value += 1
         frames = self.epc.alloc_frames(len(vaddrs))
         pfns = [frame.pfn for frame in frames]
@@ -399,6 +427,18 @@ class SgxInstructions:
             entry.blocked = False
             backed[vaddr >> PAGE_SHIFT] = pfns[i]
         return pfns
+
+    def _backed_entries(self, prefix, enclave, vaddrs):
+        """The PFNs and EPCM entries of backed pages; raises at the first
+        page not backed by EPC."""
+        backed = enclave.backed
+        pfns = []
+        for vaddr in vaddrs:
+            pfn = backed.get(vaddr >> PAGE_SHIFT)
+            if pfn is None:
+                raise SgxError(f"{prefix}{vaddr:#x} not backed by EPC")
+            pfns.append(pfn)
+        return pfns, self.epcm.entries(pfns)
 
     def _entry_for(self, enclave, vaddr):
         pfn = enclave.backed.get(vaddr >> PAGE_SHIFT)
