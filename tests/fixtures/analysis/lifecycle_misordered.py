@@ -19,3 +19,10 @@ def broken_evict(instr, page_table, enclave, page):
 def broken_resume(cpu, enclave):
     cpu.eresume(enclave)  # resume: ERESUME before its AEX
     cpu.aex(enclave)
+
+
+def broken_batched_evict(instr, page_table, enclave, bases):
+    found = instr.eblock_check(enclave, bases)
+    instr.eblock_pages(enclave, bases, found)
+    instr.ewb_pages(enclave, bases, found)
+    page_table.drop_pages(bases)  # evict: shootdown after EWB

@@ -39,6 +39,22 @@ def branch_arms_are_independent(instr, page_table, enclave, page, fast):
         instr.ewb(enclave, page)
 
 
+def driver_batched_cycle(instr, page_table, backing, enclave, bases,
+                         perms):
+    """The driver's pager transactions: EBLOCK's check phase validates
+    an eviction, and EBLOCK and EWB commit with what it returned; ELDU's
+    check phase validates the reload."""
+    found = instr.eblock_check(enclave, bases)
+    instr.eblock_pages(enclave, bases, found)
+    page_table.drop_pages(bases)
+    sealed = instr.ewb_pages(enclave, bases, found)
+    backing.put_pages(enclave.enclave_id, bases, sealed)
+    blobs = backing.take_pages(enclave.enclave_id, bases)
+    contents = instr.eldu_check(enclave, bases, blobs)
+    instr.eldu_pages(enclave, bases, blobs, perms, contents)
+    instr.eblock_pages(enclave, bases)
+
+
 def clean_resume(cpu, enclave):
     cpu.aex(enclave)
     cpu.eresume(enclave)

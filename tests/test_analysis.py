@@ -1410,6 +1410,7 @@ class TestGoldenFixtures:
             (15, "lifecycle/evict-order"),
             (16, "lifecycle/evict-order"),
             (20, "lifecycle/resume-order"),
+            (28, "lifecycle/evict-order"),
         ], report.render_text()
 
     def test_ordered_fixture_clean(self):
