@@ -181,7 +181,8 @@ class _ChaosRun(ScriptedEnclave):
         #: The heap pages the workload churns over.
         self.pool = [heap.start + i * PAGE_SIZE for i in range(pages)]
         self.injector = FaultInjector(
-            self.plan, self.kernel, self.enclave
+            self.plan, self.kernel, self.enclave,
+            self.runtime.paging_ops.store,
         ).install()
         # Workload randomness is decoupled from plan randomness so the
         # same plan hits an identical access stream on every policy.
@@ -310,6 +311,7 @@ class _ChaosRun(ScriptedEnclave):
     def adopt(self, runtime):
         super().adopt(runtime)
         self.injector.enclave = runtime.enclave
+        self.injector.store = runtime.paging_ops.store
         # Pending quota restores belonged to the dead incarnation; the
         # relaunch starts from the full configured quota.
         self._quota_restores.clear()

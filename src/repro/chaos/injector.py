@@ -11,10 +11,13 @@ Installation points:
 
 Everything the injector does is recorded as
 :class:`~repro.core.trace.InjectionEvent` on the simulated timeline,
-and the injector doubles as the campaign's ground-truth witness: if a
-syscall returned a blob the backing store marks as attacker-written and
+and the injector doubles as the campaign's ground-truth witness: if the
+enclave loaded a blob its backing store marks as attacker-written and
 no abort followed, :attr:`silent_consumption` proves the safety
-invariant fell.
+invariant fell.  The driver loads from the kernel's store inside
+``ay_fetch_pages`` and ``os_resolve``; an SGX2 runtime loads from its
+own store, unsealing in the enclave after ``sgx2_augment_batch``
+returns, so those pages are judged at the injector's next look.
 """
 
 from __future__ import annotations
@@ -61,12 +64,17 @@ class _ArmedFault:
 
 
 class FaultInjector:
-    """Executes the armed half of a fault plan against one enclave."""
+    """Executes the armed half of a fault plan against one enclave.
 
-    def __init__(self, plan, kernel, enclave):
+    ``store`` is where the enclave's runtime keeps its sealed pages
+    (``paging_ops.store``): the kernel's backing store on SGX1, the
+    runtime's own on SGX2."""
+
+    def __init__(self, plan, kernel, enclave, store=None):
         self.plan = plan
         self.kernel = kernel
         self.enclave = enclave
+        self.store = kernel.backing if store is None else store
         self.current_op = 0
         self._armed = [_ArmedFault(e) for e in plan.armed_events()]
         #: Everything that fired, on the simulated timeline.
@@ -76,6 +84,10 @@ class FaultInjector:
         #: Tainted blobs the host handed out that the enclave accepted
         #: without an abort — each entry is a safety-invariant breach.
         self.silent_consumption = []
+        #: Pages ``sgx2_augment_batch`` EAUGed whose runtime-store blob
+        #: is tainted, for :meth:`_settle` to judge once the runtime has
+        #: unsealed them.
+        self._unsealing = []
 
     # -- installation ------------------------------------------------------
 
@@ -85,6 +97,7 @@ class FaultInjector:
         return self
 
     def uninstall(self):
+        self._settle()
         if self.kernel.fault_injector is self:
             self.kernel.fault_injector = None
         if self.kernel.instr.fault_hook == self.on_instruction:
@@ -92,12 +105,14 @@ class FaultInjector:
 
     def advance_to_op(self, op_index):
         """Called by the campaign before each workload operation."""
+        self._settle()
         self.current_op = op_index
 
     # -- hook implementations ---------------------------------------------
 
     def around_syscall(self, name, args, handler):
         """Intercept one host call (installed in HostKernel.syscall)."""
+        self._settle()
         fault = self._active_syscall_fault(name)
         if fault is not None:
             kind = fault.kind
@@ -118,22 +133,16 @@ class FaultInjector:
                 )
         at_risk = self._tainted_targets(name, args)
         result = handler(*args)
-        if at_risk:
+        if at_risk and name == "sgx2_augment_batch":
+            # The runtime unseals these after the call returns.
+            self._unsealing += at_risk
+        elif at_risk:
             enclave = args[0]
             # Only blobs that were genuinely loaded count: the driver
             # skips already-resident pages without touching the store.
-            consumed = [
+            self._consumed(name, [
                 v for v in at_risk if self._now_resident(enclave, v)
-            ]
-            if consumed:
-                # The call consumed attacker-written blobs yet returned
-                # success: the crypto layer failed to reject them.
-                self.silent_consumption.extend(consumed)
-                self._record(
-                    FaultKind.TAMPER_BACKING, name,
-                    f"tainted blob consumed without abort: "
-                    f"{[hex(v) for v in consumed]}",
-                )
+            ])
         return result
 
     def on_instruction(self, instruction, enclave, vaddr):
@@ -174,20 +183,50 @@ class FaultInjector:
         return None
 
     def _tainted_targets(self, name, args):
-        """Non-resident requested pages whose backing blob is hostile
+        """Non-resident requested pages whose stored blob is hostile
         (the pages this call would load from tampered storage)."""
-        if name not in ("ay_fetch_pages", "os_resolve"):
+        if name == "sgx2_augment_batch":
+            tainted = self.store.tainted
+        elif name in ("ay_fetch_pages", "os_resolve"):
+            tainted = self.kernel.backing.tainted
+        else:
             return []
-        backing = self.kernel.backing
-        if not backing.tainted:
+        if not tainted:
             return []
         enclave = args[0]
-        vaddrs = args[1] if name == "ay_fetch_pages" else [args[1]]
+        vaddrs = [args[1]] if name == "os_resolve" else args[1]
         return [
             page_base(v) for v in vaddrs
-            if (enclave.enclave_id, page_base(v)) in backing.tainted
+            if (enclave.enclave_id, page_base(v)) in tainted
             and not self._now_resident(enclave, v)
         ]
+
+    def _settle(self):
+        """Judge the pages an earlier ``sgx2_augment_batch`` handed the
+        runtime tainted blobs for: a page whose EPCM entry is no longer
+        pending was EACCEPTCOPYed, so the runtime accepted the blob; one
+        still pending (or gone) was rejected."""
+        if not self._unsealing:
+            return
+        pages, self._unsealing = self._unsealing, []
+        backed = self.enclave.backed
+        entry = self.kernel.epcm.entry
+        self._consumed("sgx2_augment_batch", [
+            v for v in pages
+            if vpn_of(v) in backed and not entry(backed[vpn_of(v)]).pending
+        ])
+
+    def _consumed(self, point, pages):
+        """``pages`` loaded attacker-written blobs with no abort: the
+        crypto layer failed to reject them."""
+        if not pages:
+            return
+        self.silent_consumption.extend(pages)
+        self._record(
+            FaultKind.TAMPER_BACKING, point,
+            f"tainted blob consumed without abort: "
+            f"{[hex(v) for v in pages]}",
+        )
 
     @staticmethod
     def _now_resident(enclave, vaddr):

@@ -362,15 +362,16 @@ def _deny_fetch(world, count):
             else FaultKind.DENY_FETCH)
     plan = FaultPlan(seed=0, events=(
         FaultEvent(kind=kind, at_op=0, param=count),))
-    injector = FaultInjector(plan, world.kernel, world.enclave).install()
+    injector = FaultInjector(plan, world.kernel, world.enclave,
+                             world.runtime.paging_ops.store).install()
     target = min(p for p in world.pool
                  if not world.kernel.driver.resident(world.enclave, p))
     try:
         injector.advance_to_op(0)
         world.engine.data_access(target)
     finally:
-        world.silent_consumption.extend(injector.silent_consumption)
         injector.uninstall()
+        world.silent_consumption.extend(injector.silent_consumption)
 
 
 def _post_checks(world, action):

@@ -56,6 +56,7 @@ from repro.host import adversary
 from repro.runtime.backoff import RetryPolicy
 from repro.runtime.paging_ops import Sgx1PagingOps
 from repro.runtime.rate_limit import ProgressKind
+from repro.sgx.crypto import PagingCrypto
 
 FIXTURES = Path(__file__).parent / "fixtures" / "chaos"
 WITNESS = "rate_limit_unmap_resident_witness.json"
@@ -532,6 +533,34 @@ class TestCampaign:
             FaultEvent(FaultKind.TAMPER_BACKING, at_op=200),))
         run = run_plan(plan, policy)
         assert (run.outcome, run.reason) == (OUTCOME_ABORTED, "integrity")
+
+    def test_silent_consumption_fires_on_sgx2(self, monkeypatch):
+        # A mutant SGX2 runtime whose unseal skips the MAC check takes
+        # the landed forgery.  The scripted probe saw that before; the
+        # campaign's own invariant must see it too, in the store the
+        # runtime reloads from.
+        import repro.runtime.paging_ops as paging_ops
+
+        class NoMacCrypto(PagingCrypto):
+            def unseal(self, enclave_id, vaddr, sealed):
+                return super().unseal(enclave_id, vaddr, dataclasses.replace(
+                    sealed, mac=self._mac(sealed.enclave_id, sealed.vaddr,
+                                          sealed.version, sealed.nonce,
+                                          sealed.ciphertext)))
+
+        class MutantOps(paging_ops.Sgx2PagingOps):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.crypto = NoMacCrypto()
+
+        monkeypatch.setattr(paging_ops, "Sgx2PagingOps", MutantOps)
+        plan = FaultPlan(seed=0, events=(
+            FaultEvent(FaultKind.TAMPER_BACKING, at_op=200),))
+        run = run_plan(plan, "rate_limit_sgx2")
+        assert run.outcome != OUTCOME_ABORTED
+        probe, silent = run.violations
+        assert probe.startswith("enclave resumed on tampered page")
+        assert silent.startswith("tainted blobs consumed without abort")
 
     @pytest.mark.parametrize("tier", ("off", "columnar"))
     def test_run_digests_match_the_pinned_sweep(self, tier, monkeypatch):
