@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import EpcExhausted, SgxError
 from repro.host.kernel import HostKernel
-from repro.sgx.crypto import PagingCrypto
+from repro.sgx.crypto import PagingCrypto, SealedPage
 from repro.sgx.params import PAGE_SIZE
 
 BASE = 0x1000_0000
@@ -558,6 +558,28 @@ class TestPagerTransactionTwins:
         assert seen == twin_seen
         assert sorted(seen["pages"]) == sorted(
             self.EVICT[:13] + self.RELOAD + [page(38)])
+
+    def test_evict_over_a_current_blob(self):
+        """A resident page whose store keeps a current, untainted blob
+        fails the batch's validation (the put would version-check it),
+        so the batch is replayed page by page and stops where the
+        one-page evictions stop."""
+        current = self.EVICT[13]
+
+        def plant(kernel, enclave):
+            eid = enclave.enclave_id
+            kernel.backing.put(eid, current, SealedPage(
+                eid, current, 10**6, 0, "planted", 0))
+
+        bulk, seen, single, twin_seen = self._twins(
+            "ay_evict_pages", self.EVICT, plant)
+        assert bulk == single
+        assert bulk[:2] == ("raise", "SgxError")
+        assert bulk[2].startswith(
+            f"backing-store version regression for {current:#x}")
+        assert seen == twin_seen
+        assert sorted(seen["pages"]) == sorted(
+            self.EVICT[:14] + self.RELOAD + [page(38)])
 
     def test_evict(self):
         bulk, seen, single, twin_seen = self._twins("ay_evict_pages",
