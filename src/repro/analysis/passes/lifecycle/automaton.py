@@ -51,8 +51,11 @@ caught even though it never names an ISA call itself.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from repro.analysis.walker import attr_chain
+from repro.immutable import share
 
 RULE_LAUNCH = "lifecycle/launch-order"
 RULE_EVICT = "lifecycle/evict-order"
@@ -115,15 +118,21 @@ RECOVERY_RECORD_OPS = frozenset({
 MAX_SPLICE_DEPTH = 4
 
 
+@dataclass(frozen=True, eq=False)
 class Op:
-    __slots__ = ("name", "encl", "page", "line", "branch")
+    """One protocol op on the enclave and page keys it names, at a
+    source line (or, fed live, a position in the op stream), under the
+    branch vector ``{id(if_node): arm}`` of the arms it sits in.  Two
+    ops are the same op only if they are the same object."""
 
-    def __init__(self, name, encl, page, line, branch):
-        self.name = name
-        self.encl = encl
-        self.page = page
-        self.line = line
-        self.branch = branch
+    __slots__ = ("name", "encl", "page", "line", "branch")
+    __deepcopy__ = share
+
+    name: str
+    encl: Optional[str]
+    page: Optional[str]
+    line: int
+    branch: Mapping
 
 
 def comparable(a, b):

@@ -20,6 +20,8 @@ Two runtime-only differences from the static feed:
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from repro.analysis.passes.lifecycle.automaton import (
     RULE_RESUME,
     EvictAutomaton,
@@ -28,6 +30,9 @@ from repro.analysis.passes.lifecycle.automaton import (
     RecoveryAutomaton,
 )
 from repro.sgx.params import page_base
+
+#: The branch vector of every live op: one read-only empty mapping.
+NO_BRANCH = MappingProxyType({})
 
 
 class LifecycleOracle:
@@ -92,7 +97,7 @@ class LifecycleOracle:
     def _feed(self, automaton, name, encl=None, page=None):
         self._seq += 1
         self.trace.append((self._seq, name, encl, page))
-        op = Op(name, encl, page, self._seq, {})
+        op = Op(name, encl, page, self._seq, NO_BRANCH)
         self.violations.extend(automaton.feed(op) or ())
 
     def _on_isa(self, name, enclave, vaddr):

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import PolicyError
+from repro.immutable import share
 from repro.sgx.params import (
     DEFAULT_EPC_PAGES,
     ArchOptimizations,
@@ -15,9 +16,11 @@ from repro.sgx.params import (
 from repro.runtime.self_paging import EvictionOrder
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
     """Which secure paging policy to build, and its knobs."""
+
+    __deepcopy__ = share
 
     #: "baseline" (legacy SGX, no defense), "pin_all", "clusters",
     #: "rate_limit", or "oram".
@@ -39,9 +42,11 @@ class PolicyConfig:
     oram_oblivious_metadata: bool = False    # True = CoSMIX baseline
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Everything needed to boot the machine and launch the enclave."""
+
+    __deepcopy__ = share
 
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     epc_pages: int = DEFAULT_EPC_PAGES

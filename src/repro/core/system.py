@@ -22,6 +22,7 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import Measurement
 from repro.errors import PolicyError
 from repro.host.kernel import HostKernel
+from repro.immutable import share
 from repro.oram.policy import OramPolicy
 from repro.runtime.libos import EnclaveLayout, GrapheneRuntime
 from repro.runtime.policies import (
@@ -214,6 +215,8 @@ class HeapWarmup:
 
     Picklable, and a function of the runtime alone, as
     :attr:`EnclaveProgram.warmup` must be."""
+
+    __deepcopy__ = share
 
     policy: str
     pages: int

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.clock import Category
 from repro.errors import EpcExhausted, SgxError
+from repro.immutable import share
 from repro.sgx.epcm import Permissions
 from repro.sgx.params import (
     PAGE_MASK,
@@ -55,9 +56,11 @@ _REGION_PERMS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
     """A declared range of enclave virtual memory."""
+
+    __deepcopy__ = share
 
     start: int
     npages: int

@@ -11,7 +11,9 @@ takes the direct route for the types a world is made of:
 
 * the atomic types of :mod:`copy` (``None``, numbers, ``str``,
   ``bytes``, classes, functions, builtins, code, ``range``, weakrefs,
-  properties) and enum members are shared, never copied;
+  properties), enum members and immutable values (below) are shared,
+  never copied; each class found shared joins the type set the loops
+  test before they recurse, so an attribute holding one costs no call;
 * a ``dict`` or ``list`` is entered in the memo before its items, so
   cycles and aliasing come out as ``deepcopy``'s do;
 * a ``tuple`` is returned as-is when every element copies to itself;
@@ -37,6 +39,23 @@ takes the direct route for the types a world is made of:
   through both paths is still copied once.  No object of an explored
   world does.
 
+An immutable value is an instance of a class that sets ``__deepcopy__
+= share`` (:func:`repro.immutable.share`), so ``deepcopy`` returns it
+as it is, and :func:`plan` maps the class to :data:`SHARED` before it
+looks for reduction hooks.  The ones a world holds are frozen
+dataclasses: the system and policy configs, the cost model and the
+architecture options, the enclave layout and attributes, the driver's
+regions, EPCM permissions, retry policies, heap warm-ups, quotes,
+sealed checkpoint and journal blobs, and the lifecycle oracle's ops.
+Three kinds of record stay copied: a ``SealedPage``, whose ciphertext
+stands for page contents that may be a world object (a TCS page seals
+the enclave's ``Tcs``) and whose MAC covers that object's identity, so
+sharing it would let a page sealed before a copy verify after it and
+change the explored state spaces; a ``RuntimeRegion``, which
+``grow_heap`` and ``set_region_management`` change in place while
+callers hold it; and an ``EnclaveProgram``, whose warm-up may be any
+callable, a bound method of a world object among them.
+
 Originals stay referenced from the memo until the copy is done, as
 ``deepcopy``'s ``_keep_alive`` keeps them, so no ``id`` is reused
 mid-copy.  ``tests/test_copier.py`` checks the contract against
@@ -54,6 +73,8 @@ import types
 import weakref
 from collections import OrderedDict, defaultdict, deque
 from random import Random
+
+from repro.immutable import share
 
 #: Types ``copy.deepcopy`` returns as they are.  ``range`` joined them
 #: in Python 3.10; before that ``deepcopy`` rebuilt ranges.
@@ -79,6 +100,11 @@ _HEAPTYPE = 1 << 9
 SHARED = "shared"
 DEEPCOPY = "deepcopy"
 
+#: Types :func:`clone` returns as they are without a call: the atomic
+#: types, joined by each class :func:`plan` maps to :data:`SHARED` the
+#: first time :func:`clone` meets an instance.
+_SHARED_TYPES = set(ATOMIC)
+
 _NIL = object()
 
 
@@ -90,11 +116,13 @@ def _overrides(cls, name):
 def plan(cls):
     """How :func:`clone` copies an instance of ``cls``.
 
-    :data:`SHARED` when ``deepcopy`` returns the object itself,
-    :data:`DEEPCOPY` when the class has its own reduction (the
-    containers :func:`clone` copies itself among them), else the
-    default-reduction layout ``(has_dict, slot_names)``."""
-    if issubclass(cls, type):
+    :data:`SHARED` when ``deepcopy`` returns the object itself (a
+    class, an enum member, an immutable value whose class sets
+    ``__deepcopy__ = share``), :data:`DEEPCOPY` when the class has its
+    own reduction (the containers :func:`clone` copies itself among
+    them), else the default-reduction layout ``(has_dict,
+    slot_names)``."""
+    if issubclass(cls, type) or getattr(cls, "__deepcopy__", None) is share:
         return SHARED
     if issubclass(cls, enum.Enum):
         # Members copy to themselves: through Enum.__deepcopy__ where it
@@ -116,7 +144,7 @@ def clone(root):
     memo = {}
     keep_alive = memo.setdefault(id(memo), []).append
     memo_get = memo.get
-    atomic = ATOMIC
+    shared = _SHARED_TYPES
     plan_of = plan
     deepcopy = copy.deepcopy
     new = object.__new__
@@ -132,9 +160,9 @@ def clone(root):
             memo[id(x)] = y
             keep_alive(x)
             for key, value in x.items():
-                if type(key) not in atomic:
+                if type(key) not in shared:
                     key = copy_(key)
-                if type(value) not in atomic:
+                if type(value) not in shared:
                     value = copy_(value)
                 y[key] = value
             return y
@@ -144,10 +172,10 @@ def clone(root):
             keep_alive(x)
             append = y.append
             for item in x:
-                append(item if type(item) in atomic else copy_(item))
+                append(item if type(item) in shared else copy_(item))
             return y
         if cls is tuple:
-            items = [item if type(item) in atomic else copy_(item)
+            items = [item if type(item) in shared else copy_(item)
                      for item in x]
             # A tuple is memoized only after its items, and one of them
             # may have reached it through a cycle meanwhile.
@@ -164,10 +192,11 @@ def clone(root):
             y = memo[id(x)] = method(x.__func__, copy_(x.__self__))
             keep_alive(x)
             return y
-        if cls in atomic:
+        if cls in shared:
             return x
         layout = plan_of(cls)
         if layout is SHARED:
+            shared.add(cls)
             return x
         if layout is DEEPCOPY:
             # The containers a world holds, in the memo order of their
@@ -176,7 +205,7 @@ def clone(root):
             # container memoized before its items.
             if cls is set or cls is frozenset:
                 y = memo[id(x)] = cls([
-                    item if type(item) in atomic else copy_(item)
+                    item if type(item) in shared else copy_(item)
                     for item in x])
                 keep_alive(x)
                 return y
@@ -185,7 +214,7 @@ def clone(root):
                 keep_alive(x)
                 append = y.append
                 for item in x:
-                    append(item if type(item) in atomic else copy_(item))
+                    append(item if type(item) in shared else copy_(item))
                 return y
             if cls is Random:
                 # deepcopy builds Random(), seeded from os.urandom only
@@ -197,7 +226,7 @@ def clone(root):
                 return y
             if cls is defaultdict:
                 factory = x.default_factory
-                y = defaultdict(factory if type(factory) in atomic
+                y = defaultdict(factory if type(factory) in shared
                                 else copy_(factory))
             elif cls is OrderedDict and not x.__dict__:
                 # A non-empty instance __dict__ is reduced as state.
@@ -207,9 +236,9 @@ def clone(root):
             memo[id(x)] = y
             keep_alive(x)
             for key, value in x.items():
-                if type(key) not in atomic:
+                if type(key) not in shared:
                     key = copy_(key)
-                if type(value) not in atomic:
+                if type(value) not in shared:
                     value = copy_(value)
                 y[key] = value
             return y
@@ -226,7 +255,7 @@ def clone(root):
                 fields = y.__dict__
                 fields.update(state)
                 for key, value in state.items():
-                    if type(value) not in atomic:
+                    if type(value) not in shared:
                         fields[key] = copy_(value)
         for name in slots:
             try:
@@ -234,7 +263,7 @@ def clone(root):
             except AttributeError:
                 continue
             setattr(y, name,
-                    value if type(value) in atomic else copy_(value))
+                    value if type(value) in shared else copy_(value))
         return y
 
     return copy_(root)

@@ -22,11 +22,14 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.errors import AttackDetected, SgxError
+from repro.immutable import share
 
 
 @dataclass(frozen=True)
 class Quote:
     """An attestation quote (modelled, but structurally faithful)."""
+
+    __deepcopy__ = share
 
     measurement: int
     self_paging: bool

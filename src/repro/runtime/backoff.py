@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.immutable import share
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -25,6 +27,8 @@ class RetryPolicy:
     the wait before retry ``i`` is ``base_cycles * multiplier**(i-1)``,
     charged to :data:`~repro.clock.Category.BACKOFF`.
     """
+
+    __deepcopy__ = share
 
     max_attempts: int = 4
     base_cycles: int = 2_000

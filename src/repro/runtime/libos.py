@@ -26,6 +26,7 @@ from repro.errors import (
     IntegrityError,
     PolicyError,
 )
+from repro.immutable import share
 from repro.sgx.params import PAGE_SIZE, AccessType, SgxVersion
 from repro.runtime.allocator import ClusteringAllocator
 from repro.runtime.clusters import ClusterManager
@@ -72,7 +73,7 @@ class RuntimeRegion:
         return self.start + index * PAGE_SIZE
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnclaveLayout:
     """Address-space plan for :meth:`GrapheneRuntime.launch`.
 
@@ -81,6 +82,8 @@ class EnclaveLayout:
     (§7 "Setup": "program code, stack, and self-paging metadata ...
     pinned in EPC").
     """
+
+    __deepcopy__ = share
 
     base: int = 0x10_0000_0000
     runtime_pages: int = 64

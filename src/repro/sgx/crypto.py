@@ -17,6 +17,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.errors import IntegrityError
+from repro.immutable import share
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,8 @@ class SealedBlob:
     """A sealed state blob in untrusted storage (checkpoint snapshot or
     one journal record).  ``payload`` must be a canonical (hashable,
     deterministically ordered) tuple tree — the MAC covers its repr."""
+
+    __deepcopy__ = share
 
     kind: str
     seq: int

@@ -12,12 +12,15 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import SgxError
+from repro.immutable import share
 from repro.sgx.params import PAGE_SIZE, vpn_of
 
 
 @dataclass(frozen=True)
 class EnclaveAttributes:
     """Attested enclave attribute bits."""
+
+    __deepcopy__ = share
 
     #: Autarky's new attribute: enables fault masking, the pending
     #: exception flag, and the A/D-bit fill check for this enclave.

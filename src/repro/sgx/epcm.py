@@ -15,6 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.errors import EpcmViolation
+from repro.immutable import share
 from repro.sgx.params import AccessType
 
 
@@ -31,6 +32,8 @@ class PageType(enum.Enum):
 @dataclass(frozen=True)
 class Permissions:
     """EPCM read/write/execute permissions for a page."""
+
+    __deepcopy__ = share
 
     read: bool = True
     write: bool = True

@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.immutable import share
+
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 #: ``vaddr & PAGE_MASK`` is the base of the page holding ``vaddr``.
@@ -62,7 +64,7 @@ class SgxVersion(enum.Enum):
     SGX2 = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
     """Cycle costs for every architectural event in the simulation.
 
@@ -73,6 +75,8 @@ class CostModel:
     * ``autarky_handler``    — "Autarky PF handler overhead"
     * instruction costs      — "SGX paging (inc. encrypt/decrypt)"
     """
+
+    __deepcopy__ = share
 
     # Enclave transitions.  The paper cites prior work [48]: invoking an
     # enclave exception handler costs >6x a signal handler, and
@@ -132,7 +136,7 @@ class CostModel:
         return self.eenter + self.eexit
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchOptimizations:
     """The paper's optional, more intrusive hardware optimizations (§5.1.3).
 
@@ -145,6 +149,8 @@ class ArchOptimizations:
     ("no upcall" enables ``in_enclave_resume``; "no upcall/AEX" enables
     both).
     """
+
+    __deepcopy__ = share
 
     elide_aex: bool = False
     in_enclave_resume: bool = False

@@ -9,6 +9,8 @@ behave the same under every enabled action.
 
 import copy
 import copyreg
+import dataclasses
+import enum
 import gc
 import itertools
 import random
@@ -20,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import Clock
+from repro.immutable import share
 from repro.modelcheck import model, poolworld
-from repro.modelcheck.copier import clone, plan
+from repro.modelcheck.copier import ATOMIC, clone, plan
 from repro.modelcheck.explorer import domain_for
 
 WORLDS = model.POLICIES + poolworld.WORLDS
@@ -335,8 +338,23 @@ def test_random_continues_the_sequence_independently():
     assert [out[0].gauss(0, 1), out[0].random(), out[0].random()] == ahead
 
 
+@dataclasses.dataclass(frozen=True)
+class Value:
+    name: str
+    sizes: tuple
+
+    __deepcopy__ = share
+
+
 def test_subclasses_and_own_reductions_keep_the_fallback(monkeypatch):
     class Tags(set):
+        pass
+
+    class Copied(Value):
+        def __deepcopy__(self, memo):
+            return Copied(self.name, self.sizes)
+
+    class Inherited(Value):
         pass
 
     class Pair:
@@ -348,7 +366,8 @@ def test_subclasses_and_own_reductions_keep_the_fallback(monkeypatch):
 
     labelled = OrderedDict(k=[1])
     labelled.label = "kept"
-    root = [Tags((1, 2)), Pair(1, [2]), labelled, {3}, deque([4])]
+    root = [Tags((1, 2)), Pair(1, [2]), labelled, {3}, deque([4]),
+            Copied("c", ()), Inherited("i", ())]
     reached = []
     deepcopy = copy.deepcopy
 
@@ -359,6 +378,82 @@ def test_subclasses_and_own_reductions_keep_the_fallback(monkeypatch):
     monkeypatch.setattr(copy, "deepcopy", spy)
     out = clone(root)
     monkeypatch.undo()
-    assert reached == [Tags, Pair, OrderedDict]
+    assert reached == [Tags, Pair, OrderedDict, Copied]
     assert out[2].label == "kept"
+    # A subclass with its own __deepcopy__ keeps the fallback; one that
+    # inherits it is shared.
+    assert plan(Copied) == "deepcopy" and out[5] is not root[5]
+    assert plan(Inherited) == "shared" and out[6] is root[6]
     assert_same_graph(root, out, copy.deepcopy(root))
+
+
+def test_a_shared_value_is_the_same_object_in_every_copy():
+    value = Value("v", (1, 2))
+    node = Node()
+    node.value = value
+    root = [value, {"v": value}, (value, 3), node]
+    out, ref = clone(root), copy.deepcopy(root)
+    assert plan(Value) == "shared"
+    assert out[0] is ref[0] is value
+    assert out[1]["v"] is ref[1]["v"] is value
+    # A tuple of shared values copies to itself.
+    assert out[2] is ref[2] is root[2]
+    assert out[3] is not node and out[3].value is value
+    assert_same_graph(root, out, ref)
+
+
+def _immutable(value):
+    """Nothing can change ``value`` in place: an atomic value, an enum
+    member, a shared value, or a tuple, frozenset or read-only mapping
+    of such values."""
+    cls = type(value)
+    if cls in ATOMIC or isinstance(value, enum.Enum) \
+            or getattr(cls, "__deepcopy__", None) is share:
+        return True
+    if cls in (tuple, frozenset):
+        return all(_immutable(item) for item in value)
+    if cls is types.MappingProxyType:
+        return all(_immutable(k) and _immutable(v)
+                   for k, v in value.items())
+    return False
+
+
+def assert_shared_values_are_frozen(world):
+    """Every object in ``world`` whose class copies by ``share`` is a
+    frozen dataclass whose fields hold immutable values: a copy of the
+    world holds the same object, so a change to it would reach both.
+    Returns the shared classes met."""
+    met = set()
+    seen, stack = {id(world)}, [world]
+    skip = (type, types.ModuleType, types.FunctionType, types.CodeType,
+            types.BuiltinFunctionType)
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if getattr(cls, "__deepcopy__", None) is share:
+            met.add(cls)
+            assert dataclasses.is_dataclass(cls) \
+                and cls.__dataclass_params__.frozen, cls.__name__
+            for field in dataclasses.fields(node):
+                assert _immutable(getattr(node, field.name)), \
+                    f"{cls.__name__}.{field.name}"
+        for ref in gc.get_referents(node):
+            if not isinstance(ref, skip) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    return met
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_shared_values_of_a_booted_world_are_frozen(name):
+    met = {cls.__name__ for cls in assert_shared_values_are_frozen(
+        domain_for(name)[0](name))}
+    assert {"SystemConfig", "PolicyConfig", "CostModel", "EnclaveLayout",
+            "Region", "Permissions", "EnclaveAttributes"} <= met
+
+
+@settings(max_examples=25, deadline=None)
+@given(explored_worlds())
+def test_shared_values_of_an_explored_world_are_frozen(case):
+    _, world = case
+    assert_shared_values_are_frozen(world)
