@@ -612,16 +612,21 @@ class SgxDriver:
         """Tear down a dead (crashed or aborted) enclave's footprint.
 
         Frees every EPC frame the corpse still holds (EREMOVE is legal
-        once the enclave is dead), drops its mappings, and forgets the
-        driver-side state — the host-resource half of recovery, and the
-        fix for the multi-enclave supervisor's EPC leak.  The enclave's
-        sealed blobs stay in the backing store: untrusted memory has no
-        delete, and recovery replays against them."""
+        once the enclave is dead), drops its mappings, forgets the
+        driver-side state and removes the enclave from the kernel's
+        enclave table (``instr.enclaves``), so nothing the kernel holds
+        keeps the corpse or its runtime alive — the host-resource half
+        of recovery, and the fix for the multi-enclave supervisor's EPC
+        leak.  The enclave's sealed blobs stay in the backing store:
+        untrusted memory has no delete, and recovery replays against
+        them.  Reclaiming an enclave twice frees nothing the second
+        time, but still charges its syscall."""
         enclave.dead = True
         bases = [vpn << PAGE_SHIFT for vpn in enclave.backed]
         if bases:
             self.page_table.drop_pages(bases)
             self.instr.eremove_pages(enclave, bases)
+        self.instr.enclaves.pop(enclave.enclave_id, None)
         state = self._states.pop(enclave.enclave_id, None)
         if state is not None:
             state.fifo.clear()

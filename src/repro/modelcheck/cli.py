@@ -7,8 +7,9 @@ invariant (``--policy broken`` is therefore expected to exit 1 — it
 exists to prove the checker finds seeded bugs).
 
 Violating traces are minimized before reporting; ``--export DIR``
-writes each terminal-class witness (and each minimized violation) as a
-replayable ``repro chaos --plan`` envelope.
+writes each terminal-class witness (and each minimized violation) that
+the chaos campaign can replay as a ``repro chaos --plan`` envelope, and
+names each one it leaves out, with the reason, in one stderr line.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 
 from repro.cli import name_list, positive_int, writable
 from repro.modelcheck.explorer import explore
-from repro.modelcheck.export import export_witnesses, witness_payload
+from repro.modelcheck.export import export_witnesses
 from repro.modelcheck.minimize import minimize
 from repro.modelcheck.model import POLICIES
 from repro.modelcheck.poolworld import WORLDS
@@ -58,8 +60,11 @@ def build_parser():
     )
     parser.add_argument(
         "--export", metavar="DIR",
-        help="write every witness trace and minimized violation as a "
-             "replayable 'repro chaos --plan' JSON file under DIR",
+        help="write each witness trace and minimized violation that "
+             "the chaos campaign can replay as a 'repro chaos --plan' "
+             "JSON file under DIR; each one left out (its world has no "
+             "campaign counterpart, or no action maps to a fault-plan "
+             "event) is named on stderr",
     )
     return parser
 
@@ -95,11 +100,10 @@ def run(argv=None):
 
 def _export(directory, result, minimized):
     os.makedirs(directory, exist_ok=True)
-    payloads = dict(export_witnesses(result))
-    for index, (trace, _messages) in enumerate(minimized):
-        payload = witness_payload(result.policy, trace, None)
-        if payload is not None:
-            payloads[f"violation-{index}"] = payload
+    payloads, skipped = export_witnesses(result, minimized)
+    for label, trace, reason in skipped:
+        print(f"repro modelcheck: not exported: {result.policy} {label} "
+              f"{list(trace)}: {reason}", file=sys.stderr)
     for label, payload in payloads.items():
         name = f"{result.policy}-{label.replace('/', '-')}.json"
         path = os.path.join(directory, name)

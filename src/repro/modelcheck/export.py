@@ -12,6 +12,9 @@ counterpart — the campaign drives its own workload — so only the
 hostile actions are mapped.  Events are spaced 20 ops apart starting at
 op 60, past the campaign's warm-up prologue, preserving the trace's
 action order.
+
+Only campaign-replayable witnesses become envelopes:
+:func:`skip_reason` names why any other trace is left out.
 """
 
 from __future__ import annotations
@@ -73,27 +76,44 @@ def _map_action(policy_name, action):
     return None
 
 
+def skip_reason(policy_name, trace):
+    """Why no chaos plan can replay ``trace`` of ``policy_name``'s
+    world (the model's ``oram``, the pool world and the seeded-bug
+    ``broken`` world have no campaign counterpart; ``rollback`` and
+    workload actions map to no fault), or ``None`` when one can."""
+    if policy_name not in DEFAULT_POLICIES:
+        return "the world has no chaos-campaign counterpart"
+    if plan_for_trace(policy_name, trace) is None:
+        return "no action maps to a fault-plan event"
+    return None
+
+
 def witness_payload(policy_name, trace, expected_outcome):
     """The ``--plan`` envelope for one witness trace, or ``None`` when
-    the trace has no mappable hostile action or the policy has no
-    campaign counterpart (the model's ``oram`` and the seeded-bug
-    ``broken`` world)."""
-    if policy_name not in DEFAULT_POLICIES:
+    :func:`skip_reason` names why no chaos plan can replay it."""
+    if skip_reason(policy_name, trace) is not None:
         return None
-    plan = plan_for_trace(policy_name, trace)
-    if plan is None:
-        return None
-    return {"plan": to_json(plan), **dict(zip(
+    return {"plan": to_json(plan_for_trace(policy_name, trace)), **dict(zip(
         WITNESS_KEYS, (policy_name, expected_outcome, list(trace))))}
 
 
-def export_witnesses(exploration):
-    """``label -> payload`` for every exportable witness trace of one
-    :class:`repro.modelcheck.explorer.Exploration`."""
-    out = {}
-    for label, trace in sorted(exploration.witnesses.items()):
-        outcome = label.split("/", 1)[0]
+def export_witnesses(exploration, minimized=()):
+    """``(payloads, skipped)`` for one
+    :class:`repro.modelcheck.explorer.Exploration`: ``label -> payload``
+    for each witness trace and each of the ``(trace, messages)``
+    ``minimized`` violations (labelled ``violation-N``) that a chaos
+    plan can replay, and ``(label, trace, reason)`` for each one that
+    none can, in the same order."""
+    entries = [(label, trace, label.split("/", 1)[0])
+               for label, trace in sorted(exploration.witnesses.items())]
+    entries += [(f"violation-{index}", trace, None)
+                for index, (trace, _messages) in enumerate(minimized)]
+    payloads, skipped = {}, []
+    for label, trace, outcome in entries:
         payload = witness_payload(exploration.policy, trace, outcome)
-        if payload is not None:
-            out[label] = payload
-    return out
+        if payload is None:
+            skipped.append(
+                (label, trace, skip_reason(exploration.policy, trace)))
+        else:
+            payloads[label] = payload
+    return payloads, skipped

@@ -37,6 +37,10 @@ class SgxInstructions:
         #: The CPU's EWB/ELDU sealing engine (one key per package).
         from repro.sgx.crypto import PagingCrypto
         self.hw_crypto = PagingCrypto()
+        #: ``enclave_id -> Enclave`` for every enclave ECREATE built
+        #: and the driver has not reclaimed yet
+        #: (:meth:`repro.host.driver.SgxDriver.reclaim_enclave` removes
+        #: it): the live table EPC parity sums over.
         self.enclaves = {}
         #: Registered by the kernel at boot so EWB can verify the
         #: ETRACK shootdown completed (no stale translations).

@@ -14,6 +14,7 @@ import pytest
 
 from repro.chaos.campaign import run_plan
 from repro.chaos.plan import FaultPlan, from_json
+from repro.core.invariants import epc_parity
 from repro.errors import SgxError
 from repro.modelcheck import poolworld
 from repro.recovery.supervisor import RUNNING
@@ -101,6 +102,18 @@ class TestWorld:
         assert world.recoveries == 1
         assert world.violations == []
         assert check_world(world) == []
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_crash_leaves_only_the_live_incarnation_in_the_kernel(
+            self, policy):
+        # The reclaimed incarnation leaves the kernel's enclave table,
+        # so no later copy of the world carries it.
+        world = successor(boot(policy), "crash")
+        assert world.recoveries == 1
+        assert list(world.kernel.instr.enclaves.values()) \
+            == [world.enclave]
+        assert not world.enclave.dead
+        assert epc_parity(world.kernel) == []
 
     def test_rollback_attack_is_detected(self):
         world = replay("rate_limit", ("rollback",))
@@ -298,7 +311,7 @@ class TestWitnessExport:
 
     def test_exported_witness_replays_in_the_campaign(self):
         result = explore("rate_limit", depth=2, max_states=300, jobs=1)
-        payloads = export_witnesses(result)
+        payloads, _skipped = export_witnesses(result)
         payload = payloads["aborted/attack-detected"]
         run_ = run_plan(
             from_json(FaultPlan, payload["plan"], "plan"), payload["policy"])
@@ -434,3 +447,47 @@ class TestCli:
             (tmp_path / written[0]).read_text(encoding="utf-8"))
         assert payload["policy"] == "pin_all"
         assert payload["source_trace"] == ["unmap"]
+
+    def test_export_names_each_witness_it_leaves_out(self, tmp_path,
+                                                     capsys):
+        from repro.modelcheck.cli import run
+        assert run(["--policy", "all", "--depth", "3",
+                    "--export", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clusters-aborted-attack-detected.json",
+            "clusters-aborted-chaos-abort.json",
+            "pin_all-aborted-attack-detected.json",
+            "rate_limit-aborted-attack-detected.json",
+            "rate_limit-aborted-chaos-abort.json",
+            "rate_limit_sgx2-aborted-attack-detected.json",
+            "rate_limit_sgx2-aborted-chaos-abort.json",
+        ]
+        assert err.splitlines() == [
+            f"repro modelcheck: not exported: {world} aborted/integrity "
+            f"['rollback']: no action maps to a fault-plan event"
+            for world in ("pin_all", "clusters", "rate_limit",
+                          "rate_limit_sgx2")
+        ] + [
+            "repro modelcheck: not exported: oram aborted/integrity "
+            "['rollback']: the world has no chaos-campaign counterpart",
+        ]
+
+    def test_export_of_the_broken_world_writes_nothing_and_says_why(
+            self, tmp_path, capsys):
+        from repro.modelcheck.cli import run
+        assert run(["--policy", "broken", "--depth", "2",
+                    "--export", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        reason = "the world has no chaos-campaign counterpart"
+        assert err.splitlines() == [
+            "repro modelcheck: not exported: broken aborted/integrity "
+            f"['rollback']: {reason}",
+            "repro modelcheck: not exported: broken violation "
+            f"['touch:0', 'unmap']: {reason}",
+        ] + [
+            f"repro modelcheck: not exported: broken violation-{index} "
+            f"['touch:{index}', 'unmap']: {reason}"
+            for index in range(3)
+        ]

@@ -9,8 +9,12 @@ chaos campaign.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import weakref
+
+import pytest
 
 from repro.chaos.campaign import run_campaign
 from repro.parallel import default_jobs, run_indexed
@@ -30,6 +34,38 @@ def _boom(x):
     if x == 3:
         raise ValueError("point 3 exploded")
     return x
+
+
+def _collector_enabled(_x):
+    return gc.isenabled()
+
+
+class _Cycle:
+    """Refers to itself, so only the cyclic collector frees it."""
+
+    def __init__(self):
+        self.me = self
+
+
+#: Weak references to the cycles ``_build_cycle`` tasks built.
+_BUILT = []
+
+
+def _build_cycle(x):
+    cycle = _Cycle()
+    _BUILT.append(weakref.ref(cycle))
+    return x
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 class TestRunIndexed:
@@ -72,6 +108,37 @@ class TestRunIndexed:
 
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
+
+
+class TestCollector:
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_tasks_run_paused_and_the_state_is_restored(
+            self, collector, enabled, jobs):
+        (gc.enable if enabled else gc.disable)()
+        assert run_indexed(_collector_enabled, [1, 2], jobs=jobs) \
+            == [False, False]
+        assert gc.isenabled() is enabled
+
+    def test_state_is_restored_after_a_task_raises(self, collector):
+        gc.enable()
+        with pytest.raises(ValueError, match="point 3"):
+            run_indexed(_boom, [1, 2, 3, 4], jobs=1)
+        assert gc.isenabled()
+
+    def test_a_task_cycle_is_freed_when_the_task_returns(self, collector):
+        gc.enable()
+        _BUILT.clear()
+        assert run_indexed(_build_cycle, [1, 2], jobs=1) == [1, 2]
+        assert [ref() for ref in _BUILT] == [None, None]
+
+    def test_a_disabled_collector_is_not_run(self, collector):
+        gc.disable()
+        _BUILT.clear()
+        run_indexed(_build_cycle, [1], jobs=1)
+        assert _BUILT[0]() is not None
+        gc.collect()
+        assert _BUILT[0]() is None
 
 
 class TestCampaignParallel:

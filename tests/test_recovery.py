@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.clock import Category
+from repro.core.invariants import epc_parity
 from repro.errors import (
     EnclaveCrashed,
     IntegrityAbort,
@@ -284,6 +285,17 @@ class _Unlaunchable:
         raise EnclaveCrashed("host killed the relaunch")
 
 
+class _DiesInWarmup:
+    """A program whose launch builds its enclave, then dies."""
+
+    def __init__(self, program):
+        self.program = program
+
+    def launch(self, kernel):
+        self.program.launch(kernel)
+        raise EnclaveCrashed("host killed the enclave during warm-up")
+
+
 class TestSupervisor:
     def test_backoff_cycles_are_charged(self):
         program = make_program("rate_limit")
@@ -381,8 +393,15 @@ class TestReclamation:
             _drive(record.runtime, program.engine(record.runtime), OPS)
         supervisor.mark_down("victim", exc.value)
         supervisor.recover("victim")
+        # Only the live incarnation is left in the kernel's enclave
+        # table; the reclaimed one is gone with its frames.
+        assert list(kernel.instr.enclaves.values()) \
+            == [record.runtime.enclave]
+        assert epc_parity(kernel) == []
         supervisor.shutdown()
         assert kernel.epc.free_pages == free0
+        assert kernel.instr.enclaves == {}
+        assert epc_parity(kernel) == []
 
     def test_reclaim_is_idempotent(self):
         kernel = HostKernel(epc_pages=EPC_PAGES)
@@ -390,8 +409,25 @@ class TestReclamation:
         runtime = program.launch(kernel)
         kernel.driver.reclaim_enclave(runtime.enclave)
         free_after = kernel.epc.free_pages
+        assert kernel.instr.enclaves == {}
+        os_cycles = kernel.clock.by_category.get(Category.OS, 0)
         kernel.driver.reclaim_enclave(runtime.enclave)
         assert kernel.epc.free_pages == free_after
+        # The second reclaim frees nothing but still charges its
+        # syscall (a fleet shutdown reclaims each replica twice).
+        assert kernel.clock.by_category[Category.OS] - os_cycles \
+            == kernel.driver.cost.syscall
+
+    def test_failed_launch_is_reclaimed(self):
+        kernel = HostKernel(epc_pages=EPC_PAGES)
+        free0 = kernel.epc.free_pages
+        supervisor = RecoverySupervisor(kernel)
+        with pytest.raises(EnclaveCrashed):
+            supervisor.launch(
+                "a", _DiesInWarmup(make_program("rate_limit")))
+        assert kernel.epc.free_pages == free0
+        assert kernel.instr.enclaves == {}
+        assert not supervisor.fleet()
 
 
 # -- backing-store eviction-record semantics (regression) ---------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaos.plan import from_json, to_json
+from repro.core.invariants import epc_parity
 from repro.errors import EnclaveCrashed, EpcExhausted, Quarantined
 from repro.host.kernel import HostKernel
 from repro.recovery.supervisor import RUNNING, RecoverySupervisor
@@ -663,6 +664,14 @@ class TestPooledFailover:
         assert result.quarantines >= 1
         assert result.failovers >= 1
         assert result.recoveries >= 1
+
+    def test_shutdown_leaves_no_enclave_in_the_kernel(self, pooled_run):
+        # Every incarnation, recovered and quarantined ones included,
+        # was reclaimed and left the kernel's enclave table.
+        service, result = pooled_run
+        assert result.recoveries >= 1
+        assert service.kernel.instr.enclaves == {}
+        assert epc_parity(service.kernel) == []
 
     def test_pool_faults_actually_landed(self, pooled_run):
         service, _ = pooled_run
