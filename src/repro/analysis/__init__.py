@@ -37,7 +37,6 @@ unsuppressed findings.
 
 from __future__ import annotations
 
-from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.findings import Finding
 from repro.analysis.walker import (
     analyze_paths,
@@ -46,8 +45,6 @@ from repro.analysis.walker import (
 )
 
 __all__ = [
-    "AnalysisConfig",
-    "DEFAULT_CONFIG",
     "Finding",
     "analyze_paths",
     "analyze_source",

@@ -34,14 +34,14 @@ PASS_CLASSES = (
 )
 
 
-def build_passes(config, only=None):
+def build_passes(only=None):
     """Instantiate the registered passes; ``only`` (an iterable of
     family names) restricts to those families."""
     classes = PASS_CLASSES
     if only is not None:
         wanted = set(only)
         classes = tuple(cls for cls in classes if cls.family in wanted)
-    return [cls(config) for cls in classes]
+    return [cls() for cls in classes]
 
 
 def rule_families():

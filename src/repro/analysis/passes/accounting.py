@@ -2,9 +2,10 @@
 
 Figures 5–8 are rebuilt from per-category cycle totals, so a fault or
 paging path that returns without charging silently deflates a bar in
-every downstream experiment.  For each function in the configured
-accounting modules whose name matches the paging-verb pattern, this
-pass requires that a ``*.charge(...)`` call is reachable:
+every downstream experiment.  For each function in the accounting
+modules whose name matches the paging-verb pattern
+(:mod:`repro.analysis.config`), this pass requires that a
+``*.charge(...)`` call is reachable:
 
 * directly in the body;
 * through any call the project-wide call graph resolves — same-module
@@ -13,17 +14,24 @@ pass requires that a ``*.charge(...)`` call is reachable:
   over the whole project (a call with several candidates charges if
   *any* candidate does: duck-typed receivers share the contract);
 * or, only when the graph cannot resolve the callee at all, through a
-  call on one of the configured *charging receivers* (``clock``,
-  ``kernel``, ``ops``, …).
+  call on one of the *charging receivers* (``clock``, ``kernel``,
+  ``ops``, …).
 
-Abstract methods (bodies of only ``pass``/``raise``/docstring),
-properties, and the reviewed exemption list in the config are skipped.
+Abstract methods (bodies of only ``pass``/``raise``/docstring) and
+properties are skipped.  A matching function that is bookkeeping
+inside an already-charged path carries
+``# repro: allow[cycle-accounting]`` and its reason at its ``def``.
 """
 
 from __future__ import annotations
 
 import ast
 
+from repro.analysis.config import (
+    ACCOUNTING_MODULES,
+    ACCOUNTING_NAME_RE,
+    CHARGING_RECEIVERS,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.walker import attr_chain
 
@@ -57,20 +65,16 @@ def _decorator_names(node):
 
 class CycleAccountingPass:
     family = "cycle-accounting"
-    rules = (RULE_UNCHARGED,)
 
-    def __init__(self, config):
-        self.config = config
-        self.pattern = config.accounting_pattern()
+    def __init__(self):
         self._charges = set()     # qualnames with a reachable charge
 
     def applies(self, module):
-        return module in self.config.accounting_modules
+        return module in ACCOUNTING_MODULES
 
     def prepare(self, project):
         """Project-wide charge-reachability fixpoint."""
         self._project = project
-        receivers = self.config.charging_receivers
         calls = {}                # qualname -> set of callee qualnames
         charges = set()
         for qual, info in project.functions.items():
@@ -91,7 +95,7 @@ class CycleAccountingPass:
                     # (PagingOps implementations, …) share the
                     # charging contract.
                     callees.update(c.qualname for c in candidates)
-                elif len(chain) >= 2 and chain[-2] in receivers:
+                elif len(chain) >= 2 and chain[-2] in CHARGING_RECEIVERS:
                     charges.add(qual)
             calls[qual] = callees
         changed = True
@@ -131,12 +135,11 @@ class CycleAccountingPass:
 
     def _in_scope(self, info):
         name = info.name
-        if name.startswith("__") or name in \
-                self.config.accounting_exempt_names:
+        if name.startswith("__"):
             return False
         if "property" in _decorator_names(info.node) or \
                 "staticmethod" in _decorator_names(info.node):
             return False
         if _is_abstract(info.node.body):
             return False
-        return bool(self.pattern.search(name))
+        return bool(ACCOUNTING_NAME_RE.search(name))

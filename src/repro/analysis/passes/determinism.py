@@ -31,14 +31,22 @@ there:
 * ``os.getpid()`` — worker identity must never key or tag merged
   results (two schedules assign work to different pids).
 
-The CLI's progress display is exempt by configuration; seeded
-``random.Random(seed)`` instances are the sanctioned idiom.
+The CLI's progress display is exempt (``DETERMINISM_EXEMPT`` in
+:mod:`repro.analysis.config`); seeded ``random.Random(seed)``
+instances are the sanctioned idiom.
 """
 
 from __future__ import annotations
 
 import ast
 
+from repro.analysis.config import (
+    DETERMINISM_EXEMPT,
+    ENTROPY_CALLS,
+    GLOBAL_RANDOM_ATTRS,
+    WALLCLOCK_DATETIME_ATTRS,
+    WALLCLOCK_TIME_ATTRS,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.walker import attr_chain
 
@@ -57,13 +65,9 @@ _PARALLEL_PKG = "repro.parallel"
 
 class DeterminismPass:
     family = "determinism"
-    rules = (RULE_TIME, RULE_RANDOM, RULE_HASH, RULE_PARALLEL)
-
-    def __init__(self, config):
-        self.config = config
 
     def applies(self, module):
-        return module not in self.config.determinism_exempt
+        return module not in DETERMINISM_EXEMPT
 
     def run(self, mod):
         aliases = self._collect_aliases(mod.tree)
@@ -129,14 +133,14 @@ class DeterminismPass:
             return
 
         if name.startswith("time.") and \
-                name.split(".", 1)[1] in self.config.wallclock_time_attrs:
+                name.split(".", 1)[1] in WALLCLOCK_TIME_ATTRS:
             yield self._finding(
                 mod, node, RULE_TIME,
                 f"wall-clock read {name}() in cycle-accounted code",
                 "simulated results must come from repro.clock.Clock; "
                 "wall time is display-only (see the CLI exemption)",
             )
-        elif name.split(".")[-1] in self.config.wallclock_datetime_attrs \
+        elif name.split(".")[-1] in WALLCLOCK_DATETIME_ATTRS \
                 and name.split(".")[0] in ("datetime", "date"):
             yield self._finding(
                 mod, node, RULE_TIME,
@@ -144,7 +148,7 @@ class DeterminismPass:
                 "simulated results must come from repro.clock.Clock",
             )
         elif name.startswith("random.") and \
-                name.split(".", 1)[1] in self.config.global_random_attrs:
+                name.split(".", 1)[1] in GLOBAL_RANDOM_ATTRS:
             yield self._finding(
                 mod, node, RULE_RANDOM,
                 f"process-global RNG call {name}()",
@@ -158,7 +162,7 @@ class DeterminismPass:
                 "random.Random() constructed without a seed",
                 "pass an explicit seed: random.Random(seed)",
             )
-        elif name in self.config.entropy_calls:
+        elif name in ENTROPY_CALLS:
             yield self._finding(
                 mod, node, RULE_RANDOM,
                 f"irreproducible entropy source {name}()",

@@ -27,8 +27,7 @@ class EffectsPass:
 
     family = "effects"
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self._engine = None
         self._sites = {}
 
@@ -36,15 +35,13 @@ class EffectsPass:
         return True
 
     def prepare(self, project):
-        self._engine = EffectEngine(project, self.config)
+        self._engine = EffectEngine(project)
         self._engine.run()
-        self._sites = purity.find_runner_sites(project, self.config)
+        self._sites = purity.find_runner_sites(project)
 
     def run(self, mod):
         if self._engine is None:  # driver always prepares; be safe
             return
-        yield from epoch.check_module(self._engine, self.config, mod)
-        yield from purity.check_module(
-            self._engine, self.config, self._sites, mod)
-        yield from hotpath.check_module(
-            self._engine.project, self.config, mod)
+        yield from epoch.check_module(self._engine, mod)
+        yield from purity.check_module(self._engine, self._sites, mod)
+        yield from hotpath.check_module(self._engine.project, mod)

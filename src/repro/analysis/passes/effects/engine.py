@@ -22,9 +22,14 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.config import (
+    EFFECTS_ACCESSOR_METHODS,
+    EFFECTS_EPOCH_CLASSES,
+    EFFECTS_MUTATOR_METHODS,
+)
 from repro.analysis.walker import attr_chain
 from repro.analysis.passes.effects.model import (
-    LOCAL, EffectSummary, cap, extend,
+    LOCAL, EffectSummary, affects_translation, cap, extend,
 )
 
 #: Fixpoint round bound (effects propagate one call hop per round; the
@@ -67,9 +72,8 @@ _COVERED, _OPEN, _FAILED = "covered", "open", "failed"
 class EffectEngine:
     """Project-wide effect summaries, computed once per analysis."""
 
-    def __init__(self, project, config):
+    def __init__(self, project):
         self.project = project
-        self.config = config
         #: qualname -> EffectSummary
         self.summaries = {}
         #: qualname -> callee qualnames whose summaries it consumed
@@ -108,7 +112,6 @@ class _FunctionEffects:
     def __init__(self, engine, info):
         self.engine = engine
         self.project = engine.project
-        self.config = engine.config
         self.info = info
         self.summary = engine.summaries[info.qualname]
         self._deps = engine.deps[info.qualname]
@@ -151,7 +154,7 @@ class _FunctionEffects:
             self.summary.direct_writes.add(tok)
             self.summary.writes.add(tok)
         if self._stmt_stack and any(
-                self._affects_translation(tok) for tok in tokens):
+                affects_translation(tok) for tok in tokens):
             self._write_stmts.add(id(self._stmt_stack[-1]))
 
     def _write_propagated(self, tokens):
@@ -159,13 +162,6 @@ class _FunctionEffects:
 
     def _read(self, tokens):
         self.summary.reads.update(tokens)
-
-    def _affects_translation(self, token):
-        attrs = self.config.effects_translation_attrs
-        return any(
-            seg in attrs for seg in token[1:]
-            if seg not in ("[]", "()", "*")
-        )
 
     # -- statements --------------------------------------------------------
 
@@ -436,12 +432,11 @@ class _FunctionEffects:
                     summary.returns, this_recv, bound_prov)
 
         if not handled and method is not None:
-            if (method in self.config.effects_mutator_methods
-                    and recv_prov):
+            if method in EFFECTS_MUTATOR_METHODS and recv_prov:
                 self._write(extend(recv_prov, "[]"))
             if method in FRESH_CALL_NAMES:
                 pass  # a clone: locally owned regardless of arguments
-            elif method in self.config.effects_accessor_methods:
+            elif method in EFFECTS_ACCESSOR_METHODS:
                 result |= extend(recv_prov, "[]")
             elif (method in PASSTHROUGH_BUILTINS
                     and isinstance(func, ast.Name)):
@@ -565,7 +560,7 @@ class _FunctionEffects:
             if chain[-2:] == ["epoch", "value"]:
                 return True
             if (chain == ["self", "value"] and self.info.class_name
-                    in self.config.effects_epoch_classes):
+                    in EFFECTS_EPOCH_CLASSES):
                 return True
             return False
         call = None

@@ -14,6 +14,10 @@ can exist for an object still being constructed.
 
 from __future__ import annotations
 
+from repro.analysis.config import (
+    EFFECTS_EPOCH_EXEMPT_NAMES,
+    EFFECTS_EPOCH_PREFIXES,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.passes.effects.model import (
     affects_translation, display,
@@ -22,23 +26,22 @@ from repro.analysis.passes.effects.model import (
 RULE = "effects/epoch-soundness"
 
 
-def check_module(engine, config, mod):
+def check_module(engine, mod):
     """Yield epoch-soundness findings for one module."""
     project = engine.project
     for qual in sorted(project.functions):
         info = project.functions[qual]
         if info.module != mod.module or info.path != mod.path:
             continue
-        if not info.module.startswith(config.effects_epoch_prefixes):
+        if not info.module.startswith(EFFECTS_EPOCH_PREFIXES):
             continue
-        if info.name in config.effects_epoch_exempt_names:
+        if info.name in EFFECTS_EPOCH_EXEMPT_NAMES:
             continue
         summary = engine.summaries[qual]
         if summary.epoch_sound:
             continue
         offending = sorted(
-            tok for tok in summary.direct_writes
-            if affects_translation(tok, config.effects_translation_attrs)
+            tok for tok in summary.direct_writes if affects_translation(tok)
         )
         if not offending:
             continue

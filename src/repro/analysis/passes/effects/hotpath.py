@@ -3,10 +3,9 @@
 The PR 4 engine holds its speedup by keeping the per-access loops
 allocation-free and dispatch-light (``__slots__`` state objects,
 hoisted bound methods, the returned-fault protocol instead of
-exceptions).  On functions marked hot — by the configured
-``Class.method`` list or an explicit ``# repro: hot`` comment on (or
-directly above) the ``def`` line — this checker flags, inside any
-``for``/``while`` loop:
+exceptions).  On functions marked hot — by a ``# repro: hot``
+comment on (or directly above) the ``def`` line — this checker flags,
+inside any ``for``/``while`` loop:
 
 * **loop-invariant attribute re-lookup** — a pure attribute chain of
   three or more segments whose root is never rebound in the loop
@@ -28,6 +27,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
+from repro.analysis.walker import comment_tokens
 
 RULE = "effects/hot-path-perf"
 
@@ -38,28 +38,19 @@ _ALLOC_CALLS = frozenset({"list", "dict", "set", "bytearray", "deque"})
 HOT_MARKER = "# repro: hot"
 
 
-def check_module(project, config, mod):
+def check_module(project, mod):
     """Yield hot-path findings for one module."""
     marker_lines = {
-        i + 1 for i, line in enumerate(mod.source.splitlines())
-        if HOT_MARKER in line
+        tok.start[0] for tok in comment_tokens(mod.source)
+        if HOT_MARKER in tok.string
     }
     for qual in sorted(project.functions):
         info = project.functions[qual]
         if info.module != mod.module or info.path != mod.path:
             continue
-        if not _is_hot(info, config, marker_lines):
-            continue
-        yield from _check_function(info, mod)
-
-
-def _is_hot(info, config, marker_lines):
-    suffix = (f"{info.class_name}.{info.name}"
-              if info.class_name else info.name)
-    if suffix in config.effects_hot_functions:
-        return True
-    lineno = info.node.lineno
-    return lineno in marker_lines or (lineno - 1) in marker_lines
+        lineno = info.node.lineno
+        if lineno in marker_lines or lineno - 1 in marker_lines:
+            yield from _check_function(info, mod)
 
 
 def _check_function(info, mod):

@@ -24,6 +24,8 @@ rooted in ``self``/a parameter/a global is ambient.
 
 from __future__ import annotations
 
+from repro.analysis.config import EFFECTS_TRANSLATION_ATTRS
+
 #: Provenance of a locally-constructed (non-escaping) value.
 LOCAL = frozenset()
 
@@ -71,10 +73,11 @@ def display(token):
     return ".".join(parts)
 
 
-def affects_translation(token, attrs):
+def affects_translation(token):
     """Does this write token touch translation-affecting state?"""
     return any(
-        seg in attrs for seg in token[1:] if seg not in ("[]", "()", "*")
+        seg in EFFECTS_TRANSLATION_ATTRS for seg in token[1:]
+        if seg not in ("[]", "()", "*")
     )
 
 

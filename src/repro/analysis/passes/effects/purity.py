@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.config import (
+    EFFECTS_PURITY_ALLOWED_WRITES,
+    EFFECTS_TASK_RUNNERS,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.walker import attr_chain
 from repro.analysis.passes.effects.model import display
@@ -23,7 +27,7 @@ from repro.analysis.passes.effects.model import display
 RULE = "effects/parallel-purity"
 
 
-def find_runner_sites(project, config):
+def find_runner_sites(project):
     """Locate every parallel-runner call site, keyed by module name.
 
     Returns ``{module: [(call_node, worker_info, worker_label), ...]}``
@@ -38,11 +42,11 @@ def find_runner_sites(project, config):
             if not isinstance(node, ast.Call):
                 continue
             chain = attr_chain(node.func)
-            if not chain or chain[-1] not in config.effects_task_runners:
+            if not chain or chain[-1] not in EFFECTS_TASK_RUNNERS:
                 continue
             if not _is_runner_call(project, node, info):
                 continue
-            position = config.effects_task_runners[chain[-1]]
+            position = EFFECTS_TASK_RUNNERS[chain[-1]]
             worker_expr = _worker_expr(node, position)
             worker = None if worker_expr is None else _resolve_worker(
                 project, info.module, worker_expr)
@@ -105,9 +109,8 @@ def _resolve_worker(project, module, expr):
     return None
 
 
-def check_module(engine, config, sites, mod):
+def check_module(engine, sites, mod):
     """Yield purity findings for one module's runner call sites."""
-    allowed = config.effects_purity_allowed_writes
     for call, worker, label in sites.get(mod.module, ()):
         if worker is None:
             yield Finding(
@@ -122,7 +125,8 @@ def check_module(engine, config, sites, mod):
         if summary is None:
             continue
         offending = sorted(
-            tok for tok in summary.writes if display(tok) not in allowed
+            tok for tok in summary.writes
+            if display(tok) not in EFFECTS_PURITY_ALLOWED_WRITES
         )
         if not offending:
             continue

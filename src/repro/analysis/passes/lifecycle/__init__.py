@@ -3,11 +3,13 @@
 See :mod:`repro.analysis.passes.lifecycle.automaton` for the three
 automata (launch, evict, resume) and the false-positive design.  The
 pass checks every function — and the module body, for example
-scripts — of modules under the configured lifecycle prefixes.
+scripts — of modules under ``LIFECYCLE_PREFIXES``
+(:mod:`repro.analysis.config`).
 """
 
 from __future__ import annotations
 
+from repro.analysis.config import LIFECYCLE_PREFIXES
 from repro.analysis.findings import Finding
 from repro.analysis.passes.lifecycle.automaton import (
     RULE_EVICT,
@@ -34,10 +36,8 @@ _HINTS = {
 
 class LifecyclePass:
     family = "lifecycle"
-    rules = (RULE_LAUNCH, RULE_EVICT, RULE_RESUME, RULE_RECOVERY)
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self._project = None
 
     def prepare(self, project):
@@ -49,7 +49,7 @@ class LifecyclePass:
             infos.sort(key=lambda f: f.node.lineno)
 
     def applies(self, module):
-        return module.startswith(self.config.lifecycle_prefixes)
+        return module.startswith(LIFECYCLE_PREFIXES)
 
     def run(self, mod):
         if self._project is None:
@@ -58,8 +58,7 @@ class LifecyclePass:
         for info in self._functions.get(mod.module, ()):
             contexts.append((info, info.node.body))
         for caller, body in contexts:
-            collector = OpCollector(self._project, self.config,
-                                    mod.module, caller)
+            collector = OpCollector(self._project, mod.module, caller)
             ops = collector.collect(body)
             seen = set()
             for rule, line, message in check_ops(ops):

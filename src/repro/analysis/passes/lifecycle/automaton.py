@@ -54,6 +54,7 @@ import ast
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from repro.analysis.config import LIFECYCLE_PREFIXES
 from repro.analysis.walker import attr_chain
 from repro.immutable import share
 
@@ -163,9 +164,8 @@ class OpCollector:
     """Collects the ISA ops of one function (or module body) in source
     order, splicing resolved lifecycle callees."""
 
-    def __init__(self, project, config, module, caller):
+    def __init__(self, project, module, caller):
         self.project = project
-        self.config = config
         self.module = module
         self.caller = caller
         self.ops = []
@@ -288,14 +288,13 @@ class OpCollector:
         if len(candidates) != 1:
             return
         callee = candidates[0]
-        if not callee.module.startswith(self.config.lifecycle_prefixes):
+        if not callee.module.startswith(LIFECYCLE_PREFIXES):
             return
         if callee.qualname in self._stack:
             return
         self._stack.add(callee.qualname)
         try:
-            inner = OpCollector(self.project, self.config,
-                                callee.module, callee)
+            inner = OpCollector(self.project, callee.module, callee)
             inner._stack = self._stack
             inner.collect(callee.node.body)
         finally:

@@ -18,6 +18,11 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.config import (
+    MUTABLE_COMPONENTS,
+    MUTATING_METHODS,
+    MUTATION_SANCTIONED,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.walker import attr_chain
 
@@ -27,13 +32,9 @@ RULE_STORE = "mutation-discipline/store"
 
 class MutationDisciplinePass:
     family = "mutation-discipline"
-    rules = (RULE_CALL, RULE_STORE)
-
-    def __init__(self, config):
-        self.config = config
 
     def applies(self, module):
-        return module not in self.config.mutation_sanctioned
+        return module not in MUTATION_SANCTIONED
 
     def run(self, mod):
         yield from self._visit(mod, mod.tree, in_init=False)
@@ -55,7 +56,7 @@ class MutationDisciplinePass:
         if len(chain) < 2:
             return
         component, method = chain[-2], chain[-1]
-        mutators = self.config.mutating_methods.get(component)
+        mutators = MUTATING_METHODS.get(component)
         if mutators and method in mutators:
             yield Finding(
                 path=mod.path,
@@ -89,7 +90,7 @@ class MutationDisciplinePass:
             # ``tlb = Tlb()`` (a local variable) has chain ["tlb"].
             if len(chain) < 2:
                 continue
-            touched = self.config.mutable_components.intersection(chain)
+            touched = MUTABLE_COMPONENTS.intersection(chain)
             if touched:
                 component = sorted(touched)[0]
                 yield Finding(

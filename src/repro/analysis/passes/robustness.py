@@ -38,6 +38,12 @@ from __future__ import annotations
 import ast
 import re
 
+from repro.analysis.config import (
+    ROBUSTNESS_FAILOVER_PREFIXES,
+    ROBUSTNESS_PREFIXES,
+    ROBUSTNESS_QUEUE_PREFIXES,
+    ROBUSTNESS_ROOTS,
+)
 from repro.analysis.findings import Finding
 
 RULE_BROAD_EXCEPT = "robustness/broad-except"
@@ -68,25 +74,19 @@ QUEUE_CONSUMERS = frozenset({
 
 class RobustnessPass:
     family = "robustness"
-    rules = (RULE_BROAD_EXCEPT, RULE_UNBOUNDED_RESTART,
-             RULE_UNBOUNDED_QUEUE, RULE_UNGUARDED_FAILOVER)
-
-    def __init__(self, config):
-        self.config = config
 
     def applies(self, module):
         return (
-            module in self.config.robustness_roots
-            or module.startswith(self.config.robustness_prefixes)
+            module in ROBUSTNESS_ROOTS
+            or module.startswith(ROBUSTNESS_PREFIXES)
         )
 
     def run(self, mod):
         yield from self._broad_handlers(mod)
         yield from self._unbounded_restarts(mod)
-        if mod.module.startswith(self.config.robustness_queue_prefixes):
+        if mod.module.startswith(ROBUSTNESS_QUEUE_PREFIXES):
             yield from self._unbounded_queues(mod)
-        if mod.module.startswith(
-                self.config.robustness_failover_prefixes):
+        if mod.module.startswith(ROBUSTNESS_FAILOVER_PREFIXES):
             yield from self._unguarded_failovers(mod)
 
     def _broad_handlers(self, mod):

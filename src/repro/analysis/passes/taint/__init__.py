@@ -20,14 +20,12 @@ __all__ = ["LeakagePass", "RULE_PAGE", "RULE_INDEX", "RULE_BRANCH"]
 
 class LeakagePass:
     family = "leakage"
-    rules = (RULE_PAGE, RULE_INDEX, RULE_BRANCH)
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self._by_path = {}
 
     def prepare(self, project):
-        self._by_path = TaintEngine(project, self.config).run()
+        self._by_path = TaintEngine(project).run()
 
     def applies(self, module):
         return True  # findings are already scoped by the engine

@@ -3,7 +3,8 @@
 The controlled channel works because enclave code turns a secret into a
 *page address*: a hash-bucket lookup, a glyph-indexed table, a
 data-dependent tree walk.  This engine tracks secrets from their
-sources (configured app/ORAM parameters, ``# repro: secret``
+sources (app/ORAM parameters named in :mod:`repro.analysis.config`,
+``# repro: secret``
 declarations) through assignments, calls, and returns, and reports when
 one reaches the paging surface.
 
@@ -46,6 +47,15 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.config import (
+    TAINT_COLLECTION_ACCESSORS,
+    TAINT_COLLECTION_MUTATORS,
+    TAINT_INDEX_PREFIXES,
+    TAINT_PAGE_SINKS,
+    TAINT_PUBLIC_ATTRS,
+    TAINT_REPORT_PREFIXES,
+    TAINT_SANITIZERS,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.passes.taint.sources import (
     SecretDecls,
@@ -86,9 +96,8 @@ class Summary:
 class TaintEngine:
     """Runs the project-wide fixpoint and collects leakage findings."""
 
-    def __init__(self, project, config):
+    def __init__(self, project):
         self.project = project
-        self.config = config
         self.decls = {
             mod.module: SecretDecls(mod.source) for mod in project.sources
         }
@@ -127,7 +136,7 @@ class TaintEngine:
     # -- helpers -----------------------------------------------------------
 
     def _reportable(self, module):
-        if module.startswith(self.config.taint_report_prefixes):
+        if module.startswith(TAINT_REPORT_PREFIXES):
             return True
         return bool(self.decls.get(module))
 
@@ -143,7 +152,7 @@ class TaintEngine:
                 "oram/path_oram.py); or annotate # repro: allow[leakage]")
 
     def _secret_params(self, info):
-        secret = default_secret_params(self.config, info.module, info)
+        secret = default_secret_params(info.module, info)
         decls = self.decls.get(info.module)
         if decls:
             secret |= declared_secret_params(decls, info)
@@ -184,7 +193,6 @@ class _FunctionAnalysis:
     def __init__(self, engine, info, collect):
         self.engine = engine
         self.project = engine.project
-        self.config = engine.config
         self.info = info
         self.collect = collect           # None, or {(rule, line): msg}
         self.env = {}
@@ -372,12 +380,11 @@ class _FunctionAnalysis:
             self._stmt(stmt)
 
     def _guards_paging(self, node):
-        sinks = self.config.taint_page_sinks
         for stmt in node.body + node.orelse:
             for child in ast.walk(stmt):
                 if isinstance(child, ast.Call):
                     chain = _chain(child.func)
-                    if chain and chain[-1] in sinks:
+                    if chain and chain[-1] in TAINT_PAGE_SINKS:
                         return True
         return False
 
@@ -389,7 +396,7 @@ class _FunctionAnalysis:
         if isinstance(node, ast.Name):
             return self.env.get(node.id, EMPTY)
         if isinstance(node, ast.Attribute):
-            if node.attr in self.config.taint_public_attrs:
+            if node.attr in TAINT_PUBLIC_ATTRS:
                 return EMPTY
             taint = self._eval(node.value)
             chain = _chain(node)
@@ -477,7 +484,7 @@ class _FunctionAnalysis:
             self.env = saved
 
     def _index_sink(self, node):
-        if not self.info.module.startswith(self.config.taint_index_prefixes):
+        if not self.info.module.startswith(TAINT_INDEX_PREFIXES):
             return
         taint = self._eval(node.slice)
         if taint:
@@ -494,17 +501,17 @@ class _FunctionAnalysis:
         ]
         kw_taints = [self._eval(kw.value) for kw in call.keywords]
 
-        if name in self.config.taint_page_sinks:
-            pos = self.config.taint_page_sinks[name]
+        if name in TAINT_PAGE_SINKS:
+            pos = TAINT_PAGE_SINKS[name]
             if pos < len(call.args) and \
                     not isinstance(call.args[pos], ast.Starred):
                 self._sink(arg_taints[pos], RULE_PAGE, call.lineno,
                            f"the page-address argument of {name}()")
             return EMPTY
-        if name in self.config.taint_collection_accessors and \
+        if name in TAINT_COLLECTION_ACCESSORS and \
                 isinstance(call.func, ast.Attribute):
             return self._eval(call.func.value)
-        if name in self.config.taint_collection_mutators and \
+        if name in TAINT_COLLECTION_MUTATORS and \
                 isinstance(call.func, ast.Attribute):
             stored = EMPTY
             for t in arg_taints:
@@ -516,7 +523,7 @@ class _FunctionAnalysis:
                         self.env.get(recv.id, EMPTY) | stored
                 self._store_attr_taint(recv, stored)
             return EMPTY
-        if name in self.config.taint_sanitizers:
+        if name in TAINT_SANITIZERS:
             return EMPTY
 
         candidates, strong = self.project.resolve_call_ex(

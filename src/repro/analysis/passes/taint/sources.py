@@ -2,9 +2,9 @@
 
 Two kinds of taint source feed the leakage engine:
 
-* **Configured defaults** — parameter names that are secrets whenever
+* **Default sources** — parameter names that are secrets whenever
   they enter a function under a module prefix
-  (:attr:`AnalysisConfig.taint_secret_params`): app inputs like
+  (:data:`repro.analysis.config.TAINT_SECRET_PARAMS`): app inputs like
   ``word``/``key``/``features`` and ORAM ``block_id``.
 * **In-line declarations** — a ``# repro: secret`` comment on (or
   standalone above) a ``def`` marks every parameter secret
@@ -17,9 +17,10 @@ Like suppressions, declarations are real comment tokens found via
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
+
+from repro.analysis.config import TAINT_SECRET_PARAMS
+from repro.analysis.walker import comment_tokens
 
 SECRET_RE = re.compile(r"#\s*repro:\s*secret(?:\[([^\]]*)\])?")
 
@@ -35,14 +36,7 @@ class SecretDecls:
         self.by_line = {}
         lines = source.splitlines()
         decls = {}
-        try:
-            tokens = list(tokenize.generate_tokens(
-                io.StringIO(source).readline))
-        except (tokenize.TokenError, IndentationError):
-            tokens = []
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
+        for tok in comment_tokens(source):
             match = SECRET_RE.search(tok.string)
             if not match:
                 continue
@@ -79,11 +73,11 @@ class SecretDecls:
         return self.by_line.get(lineno)
 
 
-def default_secret_params(config, module, func_info):
-    """Parameter names of ``func_info`` that are secret by configured
-    default under ``module``."""
+def default_secret_params(module, func_info):
+    """Parameter names of ``func_info`` that are secret by default
+    under ``module``."""
     secret = set()
-    for prefix, names in config.taint_secret_params.items():
+    for prefix, names in TAINT_SECRET_PARAMS.items():
         if module.startswith(prefix):
             secret.update(n for n in func_info.params if n in names)
             secret.update(n for n in func_info.kwonly if n in names)

@@ -7,7 +7,8 @@ attributes, so this pass checks that modules on the untrusted side
 (``repro.host.*``, ``repro.attacks.*``) neither import the
 enclave-private modules nor reach through objects into enclave-private
 attributes — except via the sanctioned driver surface, which implements
-the §5.2.1 contract and is exempt by configuration.
+the §5.2.1 contract and is exempt (``TRUST_SANCTIONED`` in
+:mod:`repro.analysis.config`).
 
 Attacks that *deliberately* probe the host-visible surface annotate
 their probes with ``# repro: allow[trust-boundary]``; the annotations
@@ -19,6 +20,11 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.config import (
+    ENCLAVE_PRIVATE_ATTRS,
+    ENCLAVE_PRIVATE_MODULES,
+    is_untrusted,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.walker import attr_chain
 
@@ -28,25 +34,18 @@ RULE_ATTR = "trust-boundary/attr"
 
 class TrustBoundaryPass:
     family = "trust-boundary"
-    rules = (RULE_IMPORT, RULE_ATTR)
-
-    def __init__(self, config):
-        self.config = config
 
     def applies(self, module):
-        return self.config.is_untrusted(module)
+        return is_untrusted(module)
 
     def run(self, mod):
-        private_modules = self.config.enclave_private_modules
-        private_attrs = self.config.enclave_private_attrs
-
         for node in ast.walk(mod.tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield from self._check_import(mod, node, private_modules)
+                yield from self._check_import(mod, node)
             elif isinstance(node, ast.Attribute):
-                yield from self._check_attr(mod, node, private_attrs)
+                yield from self._check_attr(mod, node)
 
-    def _check_import(self, mod, node, private_modules):
+    def _check_import(self, mod, node):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
@@ -58,7 +57,7 @@ class TrustBoundaryPass:
             names = [base]
         for name in names:
             if any(name == p or name.startswith(p + ".")
-                   for p in private_modules):
+                   for p in ENCLAVE_PRIVATE_MODULES):
                 yield Finding(
                     path=mod.path,
                     line=node.lineno,
@@ -76,8 +75,8 @@ class TrustBoundaryPass:
                     module=mod.module,
                 )
 
-    def _check_attr(self, mod, node, private_attrs):
-        if node.attr not in private_attrs:
+    def _check_attr(self, mod, node):
+        if node.attr not in ENCLAVE_PRIVATE_ATTRS:
             return
         chain = attr_chain(node)
         # ``self.<attr>`` names the module's *own* state, not a reach

@@ -33,7 +33,6 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.findings import Finding, Report
 
 ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]*)\]")
@@ -67,6 +66,18 @@ def attr_chain(node):
     return parts
 
 
+def comment_tokens(source):
+    """The comment tokens of ``source`` (none once it stops tokenizing):
+    the analyzer's annotations are real comments, so mentioning their
+    syntax in a docstring or string literal is inert."""
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok
+    except (tokenize.TokenError, IndentationError):
+        return
+
+
 class Suppressions:
     """The ``# repro: allow[...]`` table of one source file.
 
@@ -83,7 +94,7 @@ class Suppressions:
 
         lines = source.splitlines()
         allow_comments = {}      # lineno → (rules, standalone?)
-        for tok in self._comment_tokens(source):
+        for tok in comment_tokens(source):
             match = ALLOW_RE.search(tok.string)
             if not match:
                 continue
@@ -118,16 +129,6 @@ class Suppressions:
             if pending_rules is not None:
                 self.by_line[lineno] = (pending_rules, pending_line)
             pending_rules, pending_line = None, None
-
-    @staticmethod
-    def _comment_tokens(source):
-        try:
-            for tok in tokenize.generate_tokens(
-                    io.StringIO(source).readline):
-                if tok.type == tokenize.COMMENT:
-                    yield tok
-        except (tokenize.TokenError, IndentationError):
-            return
 
     @staticmethod
     def _matches(tokens, rule):
@@ -241,7 +242,7 @@ def default_roots():
     return roots
 
 
-def run_passes(modules, config=None, strict=False, only=None):
+def run_passes(modules, strict=False, only=None):
     """Run the registered passes over ``modules``; returns a Report.
 
     The interprocedural :class:`~repro.analysis.callgraph.Project` is
@@ -259,8 +260,7 @@ def run_passes(modules, config=None, strict=False, only=None):
     from repro.analysis.callgraph import Project
     from repro.analysis.passes import build_passes
 
-    config = config or DEFAULT_CONFIG
-    passes = build_passes(config, only=only)
+    passes = build_passes(only=only)
     # Timing tool output, never a simulated result: the analyzer runs
     # on the host, outside the deterministic simulation.
     started = time.perf_counter()  # repro: allow[determinism/time]
@@ -318,24 +318,24 @@ def run_passes(modules, config=None, strict=False, only=None):
     return report
 
 
-def analyze_paths(paths, config=None, strict=False, only=None):
+def analyze_paths(paths, strict=False, only=None):
     """Analyze explicit files/directories; returns a Report."""
     modules = []
     for path in paths:
         for file_path in iter_source_files(path):
             modules.append(load_module(file_path))
-    return run_passes(modules, config=config, strict=strict, only=only)
+    return run_passes(modules, strict=strict, only=only)
 
 
-def analyze_tree(root=None, config=None, strict=False, only=None):
+def analyze_tree(root=None, strict=False, only=None):
     """Analyze the default scope (package + benchmarks/ + examples/
     when present); an explicit ``root`` narrows to that tree."""
     roots = [root] if root is not None else default_roots()
-    return analyze_paths(roots, config=config, strict=strict, only=only)
+    return analyze_paths(roots, strict=strict, only=only)
 
 
-def analyze_source(source, module, path="<memory>", config=None,
-                   strict=False, only=None):
+def analyze_source(source, module, path="<memory>", strict=False,
+                   only=None):
     """Analyze one in-memory snippet (the unit-test entry point)."""
     mod = ModuleSource(
         path=path,
@@ -343,4 +343,4 @@ def analyze_source(source, module, path="<memory>", config=None,
         source=source,
         tree=ast.parse(source, filename=path),
     )
-    return run_passes([mod], config=config, strict=strict, only=only)
+    return run_passes([mod], strict=strict, only=only)

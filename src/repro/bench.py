@@ -32,8 +32,8 @@ pins none of the slices, is refused before any slice runs, and so is
 docs/performance.md for the schema.
 
 Wall-clock and timestamp reads here are the *measurement*, not chatter
-— this module is exempted from the determinism pass by configuration
-(``repro.analysis.config.determinism_exempt``).
+— this module is exempted from the determinism pass
+(``repro.analysis.config.DETERMINISM_EXEMPT``).
 """
 
 from __future__ import annotations

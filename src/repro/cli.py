@@ -10,7 +10,7 @@ Lists and runs the reproduction experiments without writing any code:
 Wall-clock reads in this module are progress chatter only — simulated
 results always come from :class:`repro.clock.Clock` (the ``analyze``
 subcommand's determinism pass enforces exactly that, and exempts this
-module by configuration).
+module: ``DETERMINISM_EXEMPT`` in :mod:`repro.analysis.config`).
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ check returns a list of violation messages, empty when it holds:
 
 from __future__ import annotations
 
+from repro.runtime.self_paging import MAX_DEGRADATIONS
+
 
 def masked_faults(kernel, bases):
     """The first fault in the OS's log that is not a bare enclave base
@@ -44,10 +46,10 @@ def epc_parity(kernel):
 
 
 def degradation_budget(pager):
-    if pager.degradations > pager.max_degradations:
+    if pager.degradations > MAX_DEGRADATIONS:
         return [
             f"degradations ({pager.degradations}) exceeded the declared "
-            f"budget ({pager.max_degradations})"
+            f"budget ({MAX_DEGRADATIONS})"
         ]
     return []
 

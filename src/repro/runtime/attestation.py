@@ -68,18 +68,17 @@ class VerificationResult:
 class AttestationService:
     """A trusted relying party monitoring an enclave fleet.
 
-    ``restart_window_s`` / ``max_restarts_per_window`` implement the
-    frequent-restart alarm: a controlled-channel attacker grinding the
-    termination channel needs a fresh launch per probe, and each launch
-    attests here first.
+    A quote without the self-paging attribute is refused: legacy mode
+    is insecure.  ``restart_window_s`` / ``max_restarts_per_window``
+    implement the frequent-restart alarm: a controlled-channel attacker
+    grinding the termination channel needs a fresh launch per probe,
+    and each launch attests here first.
     """
 
     def __init__(self, expected_measurement, clock,
-                 require_self_paging=True,
                  restart_window_s=60.0, max_restarts_per_window=3):
         self.expected_measurement = expected_measurement
         self.clock = clock
-        self.require_self_paging = require_self_paging
         self.restart_window_s = restart_window_s
         self.max_restarts_per_window = max_restarts_per_window
         self._nonces = set()
@@ -104,7 +103,7 @@ class AttestationService:
             return VerificationResult(False, "bad signature")
         if presented.measurement != self.expected_measurement:
             return VerificationResult(False, "wrong measurement")
-        if self.require_self_paging and not presented.self_paging:
+        if not presented.self_paging:
             return VerificationResult(
                 False, "enclave launched without the self-paging "
                        "attribute (legacy mode is insecure)"

@@ -31,7 +31,7 @@ from repro.sgx.params import PAGE_SIZE, AccessType, SgxVersion
 from repro.runtime.allocator import ClusteringAllocator
 from repro.runtime.clusters import ClusterManager
 from repro.runtime.exitless import HostCallChannel
-from repro.runtime.loader import CodeClusterGranularity, Loader
+from repro.runtime.loader import Loader
 from repro.runtime.paging_ops import make_paging_ops
 from repro.runtime.self_paging import EvictionOrder, SelfPager
 
@@ -103,7 +103,6 @@ class GrapheneRuntime:
                  enclave_managed_budget=None,
                  eviction_order=EvictionOrder.FIFO,
                  exitless=True,
-                 code_cluster_granularity=CodeClusterGranularity.LIBRARY,
                  legacy=False):
         self.kernel = kernel
         self.enclave = enclave
@@ -142,7 +141,6 @@ class GrapheneRuntime:
             code_pages=self.regions["code"].npages,
             data_start=self.regions["data"].start,
             data_pages=self.regions["data"].npages,
-            granularity=code_cluster_granularity,
         )
         self.allocator = None  # created by configure_heap()
 

@@ -38,7 +38,7 @@ class EnclaveSupervisor:
     """Parent-enclave logic: spawn, attest, restart-or-lockdown."""
 
     def __init__(self, child_factory, expected_measurement=None,
-                 max_restarts=3, require_self_paging=True):
+                 max_restarts=3):
         """``child_factory()`` must return a fresh child runtime.
 
         ``expected_measurement=None`` pins the first child's
@@ -48,7 +48,6 @@ class EnclaveSupervisor:
         self._factory = child_factory
         self.expected_measurement = expected_measurement
         self.max_restarts = max_restarts
-        self.require_self_paging = require_self_paging
         self._children = {}
         self._next_id = 0
         self.locked_down = False
@@ -109,7 +108,7 @@ class EnclaveSupervisor:
 
     def _attest(self, enclave):
         child_quote = quote(enclave, nonce=0)
-        if self.require_self_paging and not child_quote.self_paging:
+        if not child_quote.self_paging:
             raise AttackDetected(
                 "child launched without the self-paging attribute"
             )

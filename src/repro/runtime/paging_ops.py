@@ -207,6 +207,7 @@ class Sgx2PagingOps(PagingOps):
         self._host_call("sgx2_remove_batch", bases)
 
 
+# repro: allow[cycle-accounting] constructor dispatch, not a modeled path
 def make_paging_ops(version, enclave, channel, instructions, clock, cost):
     """Factory keyed on :class:`~repro.sgx.params.SgxVersion`."""
     if version is SgxVersion.SGX1:

@@ -40,6 +40,11 @@ from repro.sgx.params import (
 )
 
 
+#: How many times one fetch may shrink the resident set when the host
+#: squeezes the EPC quota, before the enclave fails stop.
+MAX_DEGRADATIONS = 8
+
+
 class EvictionOrder(enum.Enum):
     FIFO = "fifo"
     FAULT_FREQUENCY = "fault_frequency"
@@ -59,17 +64,13 @@ class SelfPager:
     """Manages the enclave-managed portion of EPC from inside the enclave."""
 
     def __init__(self, enclave, channel, ops, budget_pages,
-                 order=EvictionOrder.FIFO, min_evict_batch=EVICTION_BATCH,
-                 max_degradations=8):
+                 order=EvictionOrder.FIFO, min_evict_batch=EVICTION_BATCH):
         self.enclave = enclave
         self.channel = channel
         self.ops = ops
         self.budget_pages = budget_pages
         self.order = order
         self.min_evict_batch = min_evict_batch
-        #: How many times one fetch may shrink the resident set when the
-        #: host squeezes the EPC quota, before the enclave fails stop.
-        self.max_degradations = max_degradations
 
         self._resident = set()           # vpns
         self._pinned = set()             # vpns never evicted
@@ -179,9 +180,9 @@ class SelfPager:
         under us even though ``make_room`` already made the resident set
         fit the *declared* budget.  The safe response is graceful
         degradation: surrender our own coldest units and retry, at most
-        ``max_degradations`` times, then fail stop — never spin."""
+        :data:`MAX_DEGRADATIONS` times, then fail stop — never spin."""
         last = None
-        for _ in range(self.max_degradations + 1):
+        for _ in range(MAX_DEGRADATIONS + 1):
             try:
                 self.ops.fetch_batch(missing)
                 return
@@ -199,7 +200,7 @@ class SelfPager:
                 self.degradations += 1
         raise ChaosAbort(
             f"EPC exhaustion persisted past the degradation budget "
-            f"({self.max_degradations} evictions): {last}"
+            f"({MAX_DEGRADATIONS} evictions): {last}"
         ) from last
 
     def _detach_unit(self, unit):
@@ -282,6 +283,7 @@ class SelfPager:
         if self.recovery_observer is not None:
             self.recovery_observer.note_regroup(vaddrs)
 
+    # repro: allow[cycle-accounting] statistics update inside the handler
     def note_fault(self, vaddr):
         """Record a fault against the page (frequency eviction input)."""
         vpn = vaddr >> PAGE_SHIFT

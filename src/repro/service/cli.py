@@ -11,7 +11,10 @@ Three modes, one per run (argparse refuses a second):
 
 * ``--sweep``: the cross-tenant contention sweep (seeds × the three
   paper policies, over-committed EPC), with ``--jobs N`` fan-out that
-  must be bit-identical to serial, emitting ``BENCH_service.json``.
+  must be bit-identical to serial, writing its report to ``--output``
+  (default ``service-sweep.json``, never the committed
+  ``BENCH_service.json`` that perfbench's svc_pool reads its reference
+  digests from).
   With ``--pool`` it also runs the pool-failover sweep (two-replica
   pools under tamper ladders, AEX storms, and suspend/resume) and
   embeds the throughput/fairness frontier as ``pool_frontier``.
@@ -77,7 +80,7 @@ MODE_FLAGS = {
     "--no-determinism-check": ("--sweep", False),
     "--pool": ("--sweep", False),
     "--baseline": ("--sweep", None),
-    "--output": ("--sweep", "BENCH_service.json"),
+    "--output": ("--sweep", "service-sweep.json"),
 }
 
 
@@ -144,7 +147,9 @@ def build_parser():
     )
     parser.add_argument(
         "--output", metavar="PATH",
-        help="with --sweep: report path (default: BENCH_service.json)",
+        help="with --sweep: report path (default: service-sweep.json; "
+             "pass BENCH_service.json to re-record the committed "
+             "baseline)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",

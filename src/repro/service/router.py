@@ -262,8 +262,10 @@ class EnclaveService:
 
     def shutdown(self):
         """Tear the fleet down and verify EPC parity.  Both supervisor
-        layers reclaim; the idempotent reclaim path makes the overlap
-        harmless."""
+        layers reclaim each replica: the gate's second reclaim frees
+        nothing but still charges a syscall (1,500 cycles a replica),
+        and every pinned service digest includes that charge, so
+        dropping it waits for a re-record of those digests."""
         self.recovery.shutdown()
         for gate in self._gates.values():
             gate.shutdown()
@@ -273,6 +275,11 @@ class EnclaveService:
                 f"EPC leak after shutdown: {self.kernel.epc.free_pages} "
                 f"free of {self.kernel.epc.total_pages}"
             )
+
+    def _skip(self, *what):
+        """Record an event that could not apply at this tick; the
+        records enter the run digest."""
+        self.skipped_events.append((self.tick, *what))
 
     # -- live churn --------------------------------------------------------
 
@@ -293,10 +300,7 @@ class EnclaveService:
             self._tenant_pools.pop(spec.name, None)
             tenant.departed = True
             self.metrics.arrival_refusals += 1
-            self.skipped_events.append(
-                (self.tick, "arrive-refused", spec.name,
-                 type(exc).__name__)
-            )
+            self._skip("arrive-refused", spec.name, type(exc).__name__)
             return False
         self.metrics.arrivals += 1
         return True
@@ -311,7 +315,7 @@ class EnclaveService:
             (t for t in self.tenants if t.spec.name == name), None
         )
         if tenant is None or tenant.departed:
-            self.skipped_events.append((self.tick, "retire", name))
+            self._skip("retire", name)
             return
         tenant.departed = True
         self.metrics.departures += 1
@@ -446,15 +450,11 @@ class EnclaveService:
 
     def _apply_fault(self, event):
         if not 0 <= event.tenant_index < len(self.tenants):
-            self.skipped_events.append(
-                (self.tick, event.kind.value, "no-such-tenant")
-            )
+            self._skip(event.kind.value, "no-such-tenant")
             return
         tenant = self.tenants[event.tenant_index]
         if tenant.departed:
-            self.skipped_events.append(
-                (self.tick, event.kind.value, "departed")
-            )
+            self._skip(event.kind.value, "departed")
             return
         if event.kind is ServiceFaultKind.TENANT_BURST:
             tenant.burst_until_tick = self.tick + event.duration
@@ -479,7 +479,7 @@ class EnclaveService:
         pool = self._tenant_pools.get(tenant.spec.name)
         handle = pool.elect_primary() if pool is not None else None
         if handle is None:
-            self.skipped_events.append((self.tick, what, "pool-down"))
+            self._skip(what, "pool-down")
             return None
         record = self._running(handle, what)
         return None if record is None else (handle, record)
@@ -489,7 +489,7 @@ class EnclaveService:
         skipped-event record for ``what``)."""
         record = self.recovery.member(handle.member_name)
         if record.runtime is None or record.state != RUNNING:
-            self.skipped_events.append((self.tick, what, "down"))
+            self._skip(what, "down")
             return None
         return record
 
@@ -507,9 +507,7 @@ class EnclaveService:
             self.kernel, runtime.enclave, backing, runtime.regions["heap"]
         )
         if not swapped:
-            self.skipped_events.append(
-                (self.tick, "tamper", "nothing-swapped")
-            )
+            self._skip("tamper", "nothing-swapped")
             return
         adversary.tamper(backing, runtime.enclave, swapped[0])
         tenant.pending_probe = (handle.index, swapped[0])
@@ -533,18 +531,16 @@ class EnclaveService:
         pool must carry the tenant on siblings."""
         if tenant.spec.pinned:
             # Suspension is never used on a sealed working set.
-            self.skipped_events.append((self.tick, "suspend", "pinned"))
+            self._skip("suspend", "pinned")
             return
         pool = self._tenant_pools.get(tenant.spec.name)
         if pool is None:
-            self.skipped_events.append((self.tick, "suspend", "no-pool"))
+            self._skip("suspend", "no-pool")
             return
         idx = event.param if 0 <= event.param < len(pool.replicas) else 0
         handle = pool.replicas[idx]
         if handle.suspended:
-            self.skipped_events.append(
-                (self.tick, "suspend", "already-suspended")
-            )
+            self._skip("suspend", "already-suspended")
             return
         record = self._running(handle, "suspend")
         if record is None:
@@ -558,14 +554,12 @@ class EnclaveService:
         restored (verbatim, MAC-checked) before it serves again."""
         pool = self._tenant_pools.get(tenant.spec.name)
         if pool is None:
-            self.skipped_events.append((self.tick, "resume", "no-pool"))
+            self._skip("resume", "no-pool")
             return
         idx = event.param if 0 <= event.param < len(pool.replicas) else 0
         handle = pool.replicas[idx]
         if not handle.suspended:
-            self.skipped_events.append(
-                (self.tick, "resume", "not-suspended")
-            )
+            self._skip("resume", "not-suspended")
             return
         record = self._running(handle, "resume")
         if record is None:
@@ -578,9 +572,7 @@ class EnclaveService:
         except SgxError:
             # EPC could not hold the restore; the replica stays
             # suspended (still structurally unhealthy, still counted).
-            self.skipped_events.append(
-                (self.tick, "resume", "epc-full")
-            )
+            self._skip("resume", "epc-full")
             return
         handle.suspended = False
         self.metrics.replica_resumes += 1
@@ -782,9 +774,7 @@ class EnclaveService:
                     # it, not touch a foreign vaddr.  The forged blob
                     # stays armed for that replica's next access.
                     self.metrics.skipped_probes += 1
-                    self.skipped_events.append(
-                        (self.tick, "probe", "failover")
-                    )
+                    self._skip("probe", "failover")
             for key, write in zip(request.keys, request.writes):
                 if clock.cycles > request.deadline_cycles:
                     tenant.breaker.cancel_probe()

@@ -72,6 +72,7 @@ class Cpu:
 
     # -- the enclave data path ---------------------------------------------
 
+    # repro: hot
     def access(self, enclave, tcs, vaddr, access):
         """Perform one enclave memory access, resolving faults.
 
@@ -313,6 +314,7 @@ class Cpu:
         if tcs.ssa.depth:
             tcs.ssa.pop()
 
+    # repro: allow[cycle-accounting] rewrites fault info; no architectural cost
     def masked_fault(self, enclave, fault):
         """The fault information the OS is allowed to see.
 

@@ -133,6 +133,7 @@ class Epcm:
         return IndexError(
             f"pfn {pfn} outside the {self.total_pages}-frame EPC map")
 
+    # repro: hot
     def check_access(self, pfn, enclave_id, vaddr, access):
         """The MMU's post-walk EPCM check (§2.1 "Access control").
 

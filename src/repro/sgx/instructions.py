@@ -122,8 +122,8 @@ class SgxInstructions:
 
     # EBLOCK's few hundred cycles are folded into the EWB figure the
     # cost model calibrates against (§7.1 measures the eviction
-    # sequence as a whole), so charging here would double-count (the
-    # accounting config exempts ``eblock_pages`` for the same reason).
+    # sequence as a whole), so charging here would double-count;
+    # ``eblock_pages`` carries the same annotation for the same reason.
     # repro: allow[cycle-accounting] cost folded into the EWB figure
     def eblock(self, enclave, vaddr):
         """Mark a page blocked: no *new* TLB translations may be
@@ -131,6 +131,7 @@ class SgxInstructions:
         window ETRACK exists to close)."""
         self.eblock_pages(enclave, (vaddr,))
 
+    # repro: allow[cycle-accounting] cost folded into the EWB figure
     def eblock_pages(self, enclave, vaddrs, found=None):
         """EBLOCK every page of ``vaddrs``.  ``found`` is what
         :meth:`eblock_check` returned for them, when the caller ran it."""
@@ -143,6 +144,7 @@ class SgxInstructions:
             for vaddr in vaddrs:
                 self.op_observer("eblock", enclave, vaddr)
 
+    # repro: allow[cycle-accounting] a check phase; its instruction charges
     def eblock_check(self, enclave, vaddrs):
         """EBLOCK's check phase: every page appears once, is backed and
         is not blocked yet.  Returns the pages' PFNs and EPCM entries."""
@@ -189,6 +191,7 @@ class SgxInstructions:
                 self.op_observer("ewb", enclave, vaddr)
         return sealed
 
+    # repro: allow[cycle-accounting] a check phase; its instruction charges
     def ewb_check(self, enclave, vaddrs, found=None):
         """EWB's check phase: every page appears once, is backed and
         blocked, and no TLB still caches its translation.  The last two
@@ -238,6 +241,7 @@ class SgxInstructions:
                 self.op_observer("eldu", enclave, vaddr)
         return pfns
 
+    # repro: allow[cycle-accounting] a check phase; its instruction charges
     def eldu_check(self, enclave, vaddrs, blobs):
         """ELDU's check phase: every page lies in the enclave, is page
         aligned, appears once and is not backed yet, and its blob

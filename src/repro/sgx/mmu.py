@@ -85,6 +85,7 @@ class Mmu:
             return self._fast_write
         return self._fast_exec
 
+    # repro: hot
     def fast_hit(self, vaddr, access):
         """Memoized translation, or ``None`` to take the slow path.
 
@@ -98,6 +99,7 @@ class Mmu:
             self.tlb.hits += 1
         return pfn
 
+    # repro: hot
     def fast_view(self, access):
         """The synced ``{vpn: pfn}`` memo for one access type, or ``None``.
 
@@ -161,6 +163,7 @@ class Mmu:
             raise fault
         return pfn
 
+    # repro: hot
     def translate_nofault(self, vaddr, access, enclave=None):
         """Translate without raising: returns ``(pfn, fault)``.
 

@@ -34,6 +34,7 @@ class Pte:
         self.accessed = accessed
         self.dirty = dirty
 
+    # repro: hot
     def allows(self, access):
         if access is AccessType.READ:
             return True
@@ -72,6 +73,7 @@ class PageTable:
 
     # -- lookups ---------------------------------------------------------
 
+    # repro: hot
     def lookup(self, vaddr):
         """Return the PTE covering ``vaddr`` or ``None`` if unmapped."""
         return self._ptes.get(vaddr >> PAGE_SHIFT)

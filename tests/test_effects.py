@@ -16,7 +16,6 @@ from pathlib import Path
 
 from repro.analysis.callgraph import Project
 from repro.analysis.cli import run as analyze_cli
-from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.passes.effects import EffectEngine, display
 from repro.analysis.walker import ModuleSource, analyze_source
 
@@ -32,7 +31,7 @@ def check_fixture(name, module, only=None):
 def summarize(source, module="m"):
     mod = ModuleSource(path="<m>", module=module, source=source,
                        tree=ast.parse(source))
-    engine = EffectEngine(Project([mod]), DEFAULT_CONFIG)
+    engine = EffectEngine(Project([mod]))
     engine.run()
     return engine
 
@@ -147,6 +146,24 @@ class TestHotPathFixtures:
             (13, "effects/hot-path-perf"),
         ], report.render_text()
         assert "runs an import statement" in findings[0].message
+
+    def test_marker_text_in_a_string_marks_nothing(self):
+        # Only a comment marks a def hot, as only a comment is an
+        # allow annotation: the same text in a string literal is inert.
+        source = (
+            'MARKER = "# repro: hot"\n'
+            "def scan(self, items):\n"
+            "    for item in items:\n"
+            "        self.table.inner.data[item] = [item]\n"
+        )
+        report = analyze_source(source, module="repro.sgx.fixture_marker",
+                                only=["effects"])
+        assert report.ok(), report.render_text()
+        marked = analyze_source(source.replace('MARKER = "# repro: hot"',
+                                               "# repro: hot"),
+                                module="repro.sgx.fixture_marker",
+                                only=["effects"])
+        assert len(marked.findings) == 2, marked.render_text()
 
 
 # -- engine semantics ---------------------------------------------------------

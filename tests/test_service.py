@@ -894,6 +894,23 @@ class TestContentionSweep:
             for point in payload["points"]]
         assert payload["ok"] is False
 
+    def test_sweep_leaves_the_committed_baseline_alone(
+            self, tmp_path, monkeypatch, capsys):
+        # perfbench's svc_pool reads its reference digests from the
+        # tree's BENCH_service.json: a sweep run without --output must
+        # write its report elsewhere.
+        from repro.service.cli import run
+        sentinel = tmp_path / "BENCH_service.json"
+        sentinel.write_text("sentinel\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["--sweep", "--seeds", "1",
+                    "--no-determinism-check"]) == 0
+        assert sentinel.read_text() == "sentinel\n"
+        report = json.loads((tmp_path / "service-sweep.json").read_text())
+        assert len(report["points"]) == len(SWEEP_POLICIES)
+        assert "  report written to service-sweep.json" in \
+            capsys.readouterr().out.splitlines()
+
     def test_classify_priority(self):
         class Fake:
             def __init__(self, **counts):
