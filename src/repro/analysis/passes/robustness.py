@@ -144,8 +144,7 @@ class RobustnessPass:
                     "bound the loop (for attempt in range(budget)), "
                     "charge backoff between attempts "
                     "(runtime/backoff.py), and escape with a structured "
-                    "abort (Quarantined / LockdownError) once the "
-                    "budget is spent"
+                    "abort (Quarantined) once the budget is spent"
                 ),
                 module=mod.module,
             )

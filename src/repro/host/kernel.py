@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.clock import Category, Clock
-from repro.errors import PageFault, SgxError
+from repro.errors import SgxError
 from repro.host.backing import BackingStore
 from repro.host.driver import SgxDriver
 from repro.sgx.columnar import TIER_COLUMNAR, ColumnarEngine, normalize_tier
@@ -197,9 +197,3 @@ class HostKernel:
         self.cpu.eexit_cost()
         # repro: allow[trust-boundary] response register of the upcall
         return runtime._balloon_response
-
-    # -- convenience ---------------------------------------------------------
-
-    def raise_pf(self, vaddr, **kwargs):
-        """Helper for tests: fabricate a fault object."""
-        return PageFault(vaddr, **kwargs)

@@ -92,38 +92,39 @@ class RecoverySupervisor:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def launch(self, name, program, restart_policy=None):
+    def launch(self, name, program):
         """Launch a program, attest it, seal its base checkpoint.
 
         A launch that dies mid-build (warm-up cannot pin its pages
-        under EPC pressure, the program's own policy aborts it) leaves
-        no handle behind — reclaim the partial enclave before
-        re-raising, exactly like a failed restore, or its frames leak
-        until kernel shutdown."""
+        under EPC pressure, the program's own policy aborts it) or
+        fails attestation (a legacy enclave without the self-paging
+        attribute) leaves no handle behind — reclaim the partial
+        enclave before re-raising, exactly like a failed restore, or
+        its frames leak until kernel shutdown."""
         before = set(self.kernel.instr.enclaves)
         try:
             runtime = program.launch(self.kernel)
+            manager = RecoveryManager(
+                runtime,
+                auto_checkpoint_every=self.auto_checkpoint_every,
+                keep_trace=self.keep_trace,
+            )
+            service = AttestationService(
+                runtime.enclave.measurement.digest(), self.kernel.clock
+            )
+            service.attest(runtime.enclave)
+            manager.begin()
         except (EnclaveTerminated, EnclaveCrashed, HostCallDenied,
                 SgxError):
             self._reclaim_new_incarnations(before)
             raise
-        manager = RecoveryManager(
-            runtime,
-            auto_checkpoint_every=self.auto_checkpoint_every,
-            keep_trace=self.keep_trace,
-        )
-        service = AttestationService(
-            runtime.enclave.measurement.digest(), self.kernel.clock
-        )
-        service.attest(runtime.enclave)
-        manager.begin()
         record = SupervisedEnclave(
             name=name,
             program=program,
             runtime=runtime,
             manager=manager,
             attestation=service,
-            policy=restart_policy or self.restart_policy,
+            policy=self.restart_policy,
         )
         self._fleet[name] = record
         return record

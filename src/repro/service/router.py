@@ -23,9 +23,11 @@ Degradation tier 1 (moderate pressure) shrinks non-pinned replicas'
 balloon targets — cooperative ballooning, §5.2.1 — before anything is
 rejected; tier 0 restores the loans once pressure subsides.
 
-Each tenant's requests run on the pool's elected primary
-(:mod:`repro.service.pool`); an aborted replica goes through the
-recovery supervisor's bounded-restart / verified-replay pipeline while
+Every replica is launched, attested and retired through one
+:class:`~repro.recovery.supervisor.RecoverySupervisor`.  Each tenant's
+requests run on the pool's elected primary
+(:mod:`repro.service.pool`); an aborted replica goes through that
+supervisor's bounded-restart / verified-replay pipeline while
 election fails the *next* request over to a healthy sibling.  Only an
 exhausted pool (every replica down, suspended, or quarantined) latches
 the tenant's breaker.  Tenants also arrive and retire mid-run: arrival
@@ -67,7 +69,6 @@ from repro.errors import (
 from repro.host import adversary
 from repro.host.kernel import HostKernel
 from repro.recovery.supervisor import RUNNING, RecoverySupervisor
-from repro.runtime.multiprocess import EnclaveSupervisor
 from repro.service.chaos import ServiceFaultKind, ServiceFaultPlan
 from repro.service.metrics import (
     BREAKER_OPEN,
@@ -207,7 +208,7 @@ class EnclaveService:
             )
         self._queue = deque()
         self._engines = {}
-        self._gates = {}
+        self._first_incarnations = {}
         self._addr_pools = {}
         self._tenant_pools = {}
         self._retired_pools = []
@@ -224,9 +225,8 @@ class EnclaveService:
     # -- lifecycle ---------------------------------------------------------
 
     def boot(self):
-        """Launch every tenant's pool through the spawn gate
-        (measurement pinning + self-paging attribute check) on top of
-        the recovery supervisor's launch/attest/seal pipeline."""
+        """Launch every tenant's pool through the recovery supervisor's
+        launch/attest/seal pipeline."""
         for tenant in self.tenants:
             self._boot_pool(tenant)
         self._booted = True
@@ -242,13 +242,8 @@ class EnclaveService:
         for handle in pool.replicas:
             name = handle.member_name
             program = tenant.program(self.config.epc_pages, handle.index)
-            gate = EnclaveSupervisor(
-                child_factory=lambda n=name, p=program: (
-                    self.recovery.launch(n, p).runtime
-                ),
-            )
-            gate.spawn()
-            self._gates[name] = gate
+            record = self.recovery.launch(name, program)
+            self._first_incarnations[name] = record.runtime.enclave
             self._bind_replica(tenant, handle)
         self._tenant_pools[tenant.spec.name] = pool
 
@@ -261,14 +256,12 @@ class EnclaveService:
         self._addr_pools[handle.member_name] = tenant.pool(record.runtime)
 
     def shutdown(self):
-        """Tear the fleet down and verify EPC parity.  Both supervisor
-        layers reclaim each replica: the gate's second reclaim frees
-        nothing but still charges a syscall (1,500 cycles a replica),
-        and every pinned service digest includes that charge, so
-        dropping it waits for a re-record of those digests."""
+        """Tear the fleet down and verify EPC parity.  Each replica
+        still booted has its first incarnation reclaimed a second time
+        (:meth:`_reclaim_first_incarnation`)."""
         self.recovery.shutdown()
-        for gate in self._gates.values():
-            gate.shutdown()
+        for member in list(self._first_incarnations):
+            self._reclaim_first_incarnation(member)
         self._booted = False
         if self.kernel.epc.free_pages != self.kernel.epc.total_pages:
             self.violations.append(
@@ -358,13 +351,22 @@ class EnclaveService:
         self._retired_pools.append(pool)
 
     def _teardown(self, member):
-        """Reclaim one replica and drop its gate, engine and pool."""
+        """Reclaim one replica and drop its engine and pool."""
         self.recovery.teardown(member)
-        gate = self._gates.pop(member, None)
-        if gate is not None:
-            gate.shutdown()
+        self._reclaim_first_incarnation(member)
         self._engines.pop(member, None)
         self._addr_pools.pop(member, None)
+
+    def _reclaim_first_incarnation(self, member):
+        """Reclaim a retired replica's first incarnation once more.
+
+        The recovery supervisor has already freed it, so this frees
+        nothing, but it charges a syscall (1,500 cycles a replica) that
+        every pinned service digest includes.  The digest re-record of
+        ROADMAP item 1 deletes this call and the map behind it."""
+        enclave = self._first_incarnations.pop(member, None)
+        if enclave is not None:
+            self.kernel.driver.reclaim_enclave(enclave)
 
     # -- probes ------------------------------------------------------------
 

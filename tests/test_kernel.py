@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PageFault, SgxError
+from repro.errors import SgxError
 from repro.host.kernel import HostKernel
 from repro.runtime.libos import EnclaveLayout, GrapheneRuntime
 from repro.runtime.policies import RateLimitPolicy
@@ -67,11 +67,6 @@ class TestFaultDispatch:
         heap = legacy.regions["heap"]
         legacy.access(heap.page(0), AccessType.WRITE)
         assert taken == [heap.page(0)]
-
-    def test_raise_pf_helper(self, kernel):
-        fault = kernel.raise_pf(0x1234, write=True)
-        assert isinstance(fault, PageFault)
-        assert fault.write
 
 
 class TestTwoEnclaves:

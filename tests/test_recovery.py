@@ -18,6 +18,7 @@ import pytest
 from repro.clock import Category
 from repro.core.invariants import epc_parity
 from repro.errors import (
+    AttackDetected,
     EnclaveCrashed,
     IntegrityAbort,
     IntegrityError,
@@ -296,6 +297,31 @@ class _DiesInWarmup:
         raise EnclaveCrashed("host killed the enclave during warm-up")
 
 
+class _SwappedOnRelaunch:
+    """A program whose every relaunch presents a different binary."""
+
+    def __init__(self, program):
+        self.program = program
+        self.launches = 0
+
+    def launch(self, kernel):
+        self.launches += 1
+        runtime = self.program.launch(kernel)
+        if self.launches > 1:
+            runtime.enclave.measurement.extend("EVIL", 0xBAD)
+        return runtime
+
+
+def _legacy_program():
+    """A launch without the self-paging attribute (``baseline``), and
+    without the warm-up, which only a self-paging enclave can run."""
+    program = make_program("pin_all")
+    cfg = program.config
+    legacy = dataclasses.replace(
+        cfg, policy=dataclasses.replace(cfg.policy, name="baseline"))
+    return dataclasses.replace(program, config=legacy, warmup=None)
+
+
 class TestSupervisor:
     def test_backoff_cycles_are_charged(self):
         program = make_program("rate_limit")
@@ -327,6 +353,23 @@ class TestSupervisor:
         with pytest.raises(Quarantined):
             supervisor.recover("victim")
         assert record.restarts == record.policy.max_restarts
+
+    def test_relaunch_with_another_measurement_is_never_adopted(self):
+        kernel = HostKernel(epc_pages=EPC_PAGES)
+        free0 = kernel.epc.free_pages
+        supervisor = RecoverySupervisor(kernel)
+        program = _SwappedOnRelaunch(make_program("rate_limit"))
+        record = supervisor.launch("victim", program)
+        supervisor.mark_down("victim", EnclaveCrashed("host killed it"))
+        with pytest.raises(Quarantined):
+            supervisor.recover("victim")
+        assert record.restarts == record.policy.max_restarts == 3
+        assert program.launches == 1 + record.policy.max_restarts
+        assert sum("wrong measurement" in failure
+                   for failure in record.failures) == 3
+        assert record.runtime is None
+        assert kernel.instr.enclaves == {}
+        assert kernel.epc.free_pages == free0
 
     def test_restart_budget_is_configurable(self):
         program = make_program("rate_limit")
@@ -414,7 +457,8 @@ class TestReclamation:
         kernel.driver.reclaim_enclave(runtime.enclave)
         assert kernel.epc.free_pages == free_after
         # The second reclaim frees nothing but still charges its
-        # syscall (a fleet shutdown reclaims each replica twice).
+        # syscall (the service router reclaims each replica's first
+        # incarnation twice).
         assert kernel.clock.by_category[Category.OS] - os_cycles \
             == kernel.driver.cost.syscall
 
@@ -425,6 +469,16 @@ class TestReclamation:
         with pytest.raises(EnclaveCrashed):
             supervisor.launch(
                 "a", _DiesInWarmup(make_program("rate_limit")))
+        assert kernel.epc.free_pages == free0
+        assert kernel.instr.enclaves == {}
+        assert not supervisor.fleet()
+
+    def test_refused_attestation_is_reclaimed(self):
+        kernel = HostKernel(epc_pages=EPC_PAGES)
+        free0 = kernel.epc.free_pages
+        supervisor = RecoverySupervisor(kernel)
+        with pytest.raises(AttackDetected, match="self-paging"):
+            supervisor.launch("legacy", _legacy_program())
         assert kernel.epc.free_pages == free0
         assert kernel.instr.enclaves == {}
         assert not supervisor.fleet()
