@@ -69,7 +69,7 @@ MUTATION_SANCTIONED = frozenset({
     "repro.sgx.epcm",
     "repro.sgx.tlb",
     # The columnar batch interpreter settles bulk TLB-hit accounting
-    # (``tlb.hits += n``) exactly as the MMU fast path does — it is
+    # (``tlb.hits += n``) exactly as the MMU's TLB probe does — it is
     # the same architectural action, vectorized.
     "repro.sgx.columnar",
 })
@@ -265,8 +265,8 @@ LIFECYCLE_PREFIXES = (
 EFFECTS_EPOCH_PREFIXES = ("repro.sgx.", "repro.host.", "repro.runtime.")
 #: Attribute names that constitute translation-affecting state: a write
 #: through any of these (on an ambient object) must be covered by a
-#: TranslationEpoch bump, or every MMU memo minted before the write
-#: stays trusted after it.
+#: TranslationEpoch bump, or every columnar stamp taken before the
+#: write stays trusted after it.
 EFFECTS_TRANSLATION_ATTRS = frozenset({
     "_ptes",        # page-table entry map
     "_entries",     # TLB / EPCM entry stores
@@ -275,8 +275,8 @@ EFFECTS_TRANSLATION_ATTRS = frozenset({
     "valid", "page_type", "enclave_id", "perms",
     "pending", "modified", "blocked",
 })
-#: Constructor-shaped methods exempt from epoch soundness: no memo can
-#: refer to an object still being built.
+#: Constructor-shaped methods exempt from epoch soundness: no stamp
+#: can refer to an object still being built.
 EFFECTS_EPOCH_EXEMPT_NAMES = frozenset({
     "__init__", "__post_init__",
 })

@@ -14,7 +14,7 @@ epoch soundness: scanning each body in statement order, a path is
 (directly, via ``.bump()``, or by calling a callee that definitely
 bumps), ``failed`` if it returns after a translation-affecting write
 without a bump, and merely ``open`` otherwise.  Raising is always an
-acceptable exit — faults abort the access, so no memo can be minted
+acceptable exit — faults abort the access, so no stamp can be taken
 from the dead translation.
 """
 

@@ -1,15 +1,16 @@
 """effects/epoch-soundness — translation mutators must bump the epoch.
 
-The PR 4 fast path (``Mmu`` memoization, ``probe_run``) is only sound
-because every mutation of translation-affecting state — page-table
-entries, EPCM entries, TLB contents, EPC residency, permission bits —
-bumps the shared :class:`~repro.sgx.epoch.TranslationEpoch`, which
-drops all memos wholesale.  This checker attributes blame to the
-function whose *own statements* perform such a write (propagated
-callee effects are the callee's responsibility) and requires the
-must-bump analysis to prove a bump on every path that writes before a
-normal return.  ``__init__``-style constructors are exempt: no memo
-can exist for an object still being constructed.
+The columnar tier's compiled stamps (``PageRun.stamp``, replayed in
+bulk while it matches the epoch) are only sound because every mutation
+of translation-affecting state — page-table entries, EPCM entries, TLB
+contents, EPC residency, permission bits — bumps the shared
+:class:`~repro.sgx.epoch.TranslationEpoch`, which drops all stamps
+wholesale.  This checker attributes blame to the function whose *own
+statements* perform such a write (propagated callee effects are the
+callee's responsibility) and requires the must-bump analysis to prove a
+bump on every path that writes before a normal return.
+``__init__``-style constructors are exempt: no stamp can exist for an
+object still being constructed.
 """
 
 from __future__ import annotations

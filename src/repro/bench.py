@@ -6,13 +6,13 @@ two representative slices — the Figure 6 uthash serving loop and the
 Figure 8 Memcached serving loop — running the same shipped code at
 two fast-path tiers:
 
-* **baseline** — tier "off", the reference semantics: no translation
-  memo, no columnar interpreter and no request window, so every access
-  takes the classic lookup/walk path and every GET the per-request
-  path.
-* **optimized** — tier "columnar", the shipped engine: the
-  epoch-guarded per-page memo, the batch interpreter of
-  :mod:`repro.sgx.columnar` and the Memcached request window.
+* **baseline** — tier "off", the reference semantics: no fast-path
+  TLB probe, no columnar interpreter and no request window, so every
+  access takes the classic lookup/walk path and every GET the
+  per-request path.
+* **optimized** — tier "columnar", the shipped engine: the MMU's
+  direct TLB probe, the batch interpreter of :mod:`repro.sgx.columnar`
+  and the Memcached request window.
 
 Both tiers must produce **bit-identical simulated results** — cycle
 totals, fault counts, TLB hits, walk counts, app counters.  The

@@ -161,9 +161,9 @@ class DirectEngine:
         """Batched :meth:`data_access`: same faults, counters, and
         cycles as the per-address loop, charged in one call.
 
-        The all-hit case (liveness check, then one memo probe over the
-        run) is resolved right here; anything else — memo miss, fast
-        path disabled — takes the CPU's full batched path, which
+        The all-hit case (liveness check, then one TLB probe over the
+        run) is resolved right here; anything else — a TLB miss, the
+        fast path off — takes the CPU's full batched path, which
         replays the run with identical per-address semantics.
         """
         access = AccessType.WRITE if write else AccessType.READ

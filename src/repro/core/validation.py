@@ -57,8 +57,6 @@ def validate(cfg):
             f"batch ({EVICTION_BATCH}); raise it to at least "
             f"{cfg.runtime_pages + EVICTION_BATCH}"
         )
-    if quota >= cfg.epc_pages and cfg.quota_pages is not None:
-        pass  # equal is fine; exceeding was caught above
     if total > 1 << 32:
         problems.append(
             f"enclave layout of {total} pages is implausibly large"

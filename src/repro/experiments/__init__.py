@@ -19,6 +19,10 @@ E7        attack mitigation (published attacks vs Autarky)
 E8        leakage analysis (§5.3 bounds)
 A1        ablation — FIFO vs fault-frequency eviction
 A2        ablation — exitless vs exit-based calls, SGX1 vs SGX2
+E9        extension — multi-enclave EPC coordination
+E10       extension — software-only defenses vs Autarky (§4)
+E11       extension — cost-model sensitivity analysis
+A3        extension — ORAM position-map strategies
 ========  =======================================================
 """
 

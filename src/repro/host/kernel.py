@@ -59,10 +59,11 @@ class HostKernel:
         fast = self.fastpath == TIER_COLUMNAR
         #: One translation generation stamp shared by every component
         #: that can change what a virtual address resolves to; the
-        #: MMU's memoized fast path keys off it.  The "off" tier
-        #: keeps the stamp wired (cheap) but denies it to the MMU, so
-        #: every access takes the classic lookup/walk path — the A/B
-        #: baseline for ``python -m repro bench``.
+        #: columnar tier's compiled stamps key off it.  The "off" tier
+        #: keeps the stamp wired (cheap) but turns the MMU's fast path
+        #: off and attaches no columnar engine, so every access takes
+        #: the classic lookup/walk path — the A/B baseline for
+        #: ``python -m repro bench``.
         self.epoch = TranslationEpoch()
         self.page_table = PageTable(epoch=self.epoch)
         self.tlb = Tlb(capacity=tlb_capacity, epoch=self.epoch)
@@ -76,7 +77,7 @@ class HostKernel:
         self.driver = SgxDriver(self.instr, self.page_table, self.backing,
                                 self.clock, self.cost)
         self.mmu = Mmu(self.page_table, self.tlb, self.epcm, self.clock,
-                       self.cost, epoch=self.epoch if fast else None)
+                       self.cost, fast=fast)
         self.cpu = Cpu(self.mmu, self.clock, self.cost,
                        arch_opts or ArchOptimizations())
         self.cpu.kernel = self

@@ -6,7 +6,8 @@ prefix actions.  :func:`minimize` shrinks a violating trace by greedy
 one-at-a-time deletion — drop an action, replay, keep the shorter trace
 whenever the violation survives — restarting after every success until
 a fixed point.  Deterministic (deletion attempts run left to right) and
-sound: the result is validated by replay, never by assumption.
+sound: the result is validated by re-running it from boot, one
+``successor`` of its world's domain per action, never by assumption.
 
 A candidate is *replay-valid* only if every remaining action is enabled
 at its step; dropping an enabling action (the ``touch`` before an
@@ -17,28 +18,18 @@ undefined behaviour.
 from __future__ import annotations
 
 from repro.modelcheck.explorer import domain_for
-from repro.modelcheck.model import apply_action
 
 
 def violation_messages(policy_name, trace):
     """Replay ``trace`` and return its violation messages (empty when
     the trace is replay-invalid or safe)."""
-    boot_, _, enabled_, _, check_ = domain_for(policy_name)
+    boot_, _, enabled_, successor_, check_ = domain_for(policy_name)
     world = boot_(policy_name)
     for action in trace:
         if world.terminal or action not in enabled_(world):
             return ()
-        _apply(world, action)
+        world = successor_(world, action)
     return tuple(world.violations) + tuple(check_(world))
-
-
-def _apply(world, action):
-    from repro.modelcheck import poolworld
-
-    if world.policy_name in poolworld.WORLDS:
-        poolworld.apply_action(world, action)
-    else:
-        apply_action(world, action)
 
 
 def minimize(policy_name, trace):

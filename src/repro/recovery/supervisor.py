@@ -65,7 +65,6 @@ class SupervisedEnclave:
     runtime: object
     manager: RecoveryManager
     attestation: AttestationService
-    policy: RestartPolicy
     state: str = RUNNING
     restarts: int = 0
     failures: list = field(default_factory=list)
@@ -124,7 +123,6 @@ class RecoverySupervisor:
             runtime=runtime,
             manager=manager,
             attestation=service,
-            policy=self.restart_policy,
         )
         self._fleet[name] = record
         return record
@@ -157,7 +155,7 @@ class RecoverySupervisor:
                 f"enclave {name!r} is quarantined after "
                 f"{record.restarts} restarts"
             )
-        policy = record.policy
+        policy = self.restart_policy
         last = None
         for attempt in range(1, policy.max_restarts + 1):
             if record.restarts >= policy.max_restarts:

@@ -1,9 +1,9 @@
 """Columnar batch interpreter for fault-free page runs.
 
-The PR 4 engine made a steady-state access cost one dict probe
-(:meth:`repro.sgx.mmu.Mmu.probe_run`); this module makes a steady-state
-*run* cost one integer compare.  It is a classic plan/compile/execute
-split:
+The MMU's fast path makes a steady-state access cost one probe of the
+TLB's entry map (:meth:`repro.sgx.mmu.Mmu.probe_run`); this module
+makes a steady-state *run* cost one integer compare.  It is a classic
+plan/compile/execute split:
 
 * **plan** — :class:`PageRun` packs a trace of one access type, read
   or write (a sequence of page base addresses), into an immutable
@@ -55,12 +55,12 @@ from repro.sgx.params import PAGE_SHIFT, AccessType
 
 # -- fast-path tiers -------------------------------------------------------
 
-#: No translation memoization at all: every access takes the classic
-#: lookup/walk path.  The reference semantics, and the ``repro bench``
-#: baseline.
+#: No fast path: every access takes the classic TLB lookup/walk
+#: (``Mmu.translate_nofault``).  The reference semantics, and the
+#: ``repro bench`` baseline.
 TIER_OFF = "off"
-#: The shipped engine: the epoch-guarded per-page memo plus the
-#: columnar batch interpreter.
+#: The shipped engine: the MMU's fast path, which probes the TLB's
+#: entry map directly, plus the columnar batch interpreter.
 TIER_COLUMNAR = "columnar"
 
 TIERS = (TIER_OFF, TIER_COLUMNAR)

@@ -103,10 +103,10 @@ class Cpu:
 
         Semantically identical to calling :meth:`access` per address in
         order — same fault sequence, same counters, same cycle charges —
-        but fast-path hits are probed against the memo dict directly and
-        their ``tlb.hits`` accounting is flushed in bulk, so a
-        steady-state run of N pages costs N dict probes rather than N
-        full call chains.  Returns the list of PFNs.
+        but fast-path hits are probed against the TLB's entry map
+        directly and their ``tlb.hits`` accounting is flushed in bulk,
+        so a steady-state run of N pages costs N dict probes rather
+        than N full call chains.  Returns the list of PFNs.
 
         ``vaddrs`` may be any iterable, a
         :class:`~repro.sgx.columnar.PageRun` included: its columnar
@@ -116,39 +116,39 @@ class Cpu:
         if enclave.dead:
             enclave.require_alive()
         mmu = self.mmu
-        # Optimistic probe: memo probes have no side effects, so the
-        # whole run can be resolved in one C-speed pass when every page
-        # is memoized — the steady-state common case.
+        # Optimistic probe: TLB probes have no side effects, so the
+        # whole run can be resolved in one pass when every page hits —
+        # the steady-state common case.
         pfns = mmu.probe_run(vaddrs, access)
         if pfns is not None:
             return pfns
-        view = mmu.fast_view(access)
-        if view is None:
-            # No shared epoch: plain per-address path.
+        entries = mmu.tlb_entries
+        if entries is None:
+            # Fast path off: plain per-address path.
             return [self.access(enclave, tcs, v, access) for v in vaddrs]
 
         # At least one miss: replay sequentially, because a miss's
-        # fault handling flushes the TLB and drops the memo — pages
-        # after it must re-walk exactly as the unbatched loop would.
+        # fault handling flushes the TLB — pages after it must re-walk
+        # exactly as the unbatched loop would.  The TLB changes
+        # ``entries`` in place, so the probe below always sees it live.
+        get = entries.get
+        read = access is AccessType.READ
         tlb = mmu.tlb
         pfns = []
         append = pfns.append
         hits = 0
         for vaddr in vaddrs:
-            pfn = view.get(vaddr >> PAGE_SHIFT)
-            if pfn is None:
+            entry = get(vaddr >> PAGE_SHIFT)
+            if entry is None or not (read or entry.allows(access)):
                 # Settle accumulated hits *before* the slow path so the
                 # counter sequence matches the unbatched equivalent.
                 if hits:
                     tlb.hits += hits
                     hits = 0
-                pfn = self.access(enclave, tcs, vaddr, access)
-                # The slow path may have bumped the epoch (fault
-                # handling flushes the TLB): re-fetch the view.
-                view = mmu.fast_view(access)
+                append(self.access(enclave, tcs, vaddr, access))
             else:
                 hits += 1
-            append(pfn)
+                append(entry.pfn)
         if hits:
             tlb.hits += hits
         return pfns

@@ -3,16 +3,17 @@
 One :class:`TranslationEpoch` is shared by everything that can change
 the outcome of an address translation — the page table, the TLB, the
 EPCM (via the SGX instructions), and the CPU's mode transitions.  Every
-mutation bumps the counter; consumers that memoize translation results
-(:class:`repro.sgx.mmu.Mmu`'s fast path) compare their recorded stamp
-against the current value and drop the memo wholesale on mismatch.
+mutation bumps the counter.  Its consumer is the columnar tier's
+compiled stamps (:class:`repro.sgx.columnar.PageRun`): a run compiled
+against the TLB records the value, and replays in bulk only while the
+value still matches; on mismatch it recompiles.
 
 This is deliberately coarse: a single global generation, not per-page
 tracking.  Invalidation events (faults, evictions, shootdowns, SGX
 paging instructions) are orders of magnitude rarer than translations
-in steady state, so clearing the whole memo on any of them keeps the
-protocol trivially auditable — the memo can never outlive *any*
-architectural change — while the common case stays one dict probe.
+in steady state, so dropping every stamp on any of them keeps the
+protocol trivially auditable — a stamp can never outlive *any*
+architectural change — while the common case stays one compare.
 """
 
 from __future__ import annotations

@@ -18,17 +18,16 @@ Walk order (§2.1 "Access control and page faults"):
 Fast path
 ---------
 
-When the MMU is built with a shared :class:`TranslationEpoch` (the
-kernel wires one through the page table, TLB, and SGX instructions),
-successful translations are memoized per ``(access, vpn)``.  A memo
-hit replays exactly what a TLB hit does — bump ``tlb.hits``, return
-the PFN, charge nothing, touch no A/D bit — because a memo entry is
-recorded only when the TLB provably holds a covering entry, and every
-event that can remove or change TLB content (flush, shootdown,
-capacity eviction) or translation-relevant state (PTE stores, EPCM
-mutations) bumps the epoch, which drops the whole memo.  Without a
-shared epoch (standalone rigs) the fast path is disabled and behaviour
-is bit-for-bit the classic lookup/walk.
+The TLB is the only translation cache.  When the MMU is built with the
+fast path on (tier "columnar"), :meth:`Mmu.fast_hit` and
+:meth:`Mmu.probe_run` probe the TLB's live entry map
+(:meth:`repro.sgx.tlb.Tlb.residency`) directly, skipping the
+:meth:`Mmu.translate_nofault` call chain.  A probe hit is exactly what
+:meth:`repro.sgx.tlb.Tlb.lookup` does on a hit — bump ``tlb.hits``,
+return the PFN, charge nothing, touch no A/D bit — and a miss has no
+side effect, so the slow path that follows runs as if the probe never
+happened.  With the fast path off (tier "off", and standalone rigs)
+every access takes the classic lookup/walk.
 
 Faults are *returned*, not raised, on the :meth:`Mmu.translate_nofault`
 path, so the CPU's retry loop prices a cold run of N pages at N fault
@@ -46,7 +45,7 @@ from repro.sgx.params import PAGE_MASK, PAGE_SHIFT, AccessType
 class Mmu:
     """Performs translations for one logical core."""
 
-    def __init__(self, page_table, tlb, epcm, clock, cost, epoch=None):
+    def __init__(self, page_table, tlb, epcm, clock, cost, fast=False):
         self.page_table = page_table
         self.tlb = tlb
         self.epcm = epcm
@@ -55,99 +54,55 @@ class Mmu:
         #: Counters for the nbench-style architecture-overhead analysis.
         self.walks = 0
         self.ad_checks = 0
-        #: Shared translation generation stamp; ``None`` disables the
-        #: memoized fast path (standalone constructions keep the exact
-        #: classic behaviour).
-        self.epoch = epoch
-        #: Per-access-type {vpn: pfn} memos, valid only while the epoch
-        #: matches.  Three plain attributes selected by identity —
-        #: hashing an enum on every probe is measurable at this rate.
-        self._fast_read = {}
-        self._fast_write = {}
-        self._fast_exec = {}
-        self._fast_epoch = -1
+        #: The TLB's live ``{vpn: TlbEntry}`` map, which the fast path
+        #: probes, or ``None`` when the fast path is off.  An alias, not
+        #: a copy: the TLB changes it strictly in place.
+        self.tlb_entries = tlb.residency() if fast else None
 
     # -- the fast path -----------------------------------------------------
 
-    def _fast_dict(self, access):
-        """The memo for one access type, synced to the current epoch.
-
-        Callers must have checked ``self.epoch is not None``.
-        """
-        if self._fast_epoch != self.epoch.value:
-            self._fast_read.clear()
-            self._fast_write.clear()
-            self._fast_exec.clear()
-            self._fast_epoch = self.epoch.value
-        if access is AccessType.READ:
-            return self._fast_read
-        if access is AccessType.WRITE:
-            return self._fast_write
-        return self._fast_exec
-
     # repro: hot
     def fast_hit(self, vaddr, access):
-        """Memoized translation, or ``None`` to take the slow path.
+        """A TLB hit probed in the entry map, or ``None`` to take the
+        slow path (:meth:`translate_nofault`).
 
-        A hit is architecturally a TLB hit: it bumps ``tlb.hits`` and
-        charges nothing, exactly like :meth:`repro.sgx.tlb.Tlb.lookup`.
+        A hit is :meth:`repro.sgx.tlb.Tlb.lookup`'s hit: it bumps
+        ``tlb.hits`` and charges nothing.  A read needs only a resident
+        entry; any other access asks :meth:`~repro.sgx.tlb.TlbEntry.allows`.
         """
-        if self.epoch is None:
+        entries = self.tlb_entries
+        if entries is None:
             return None
-        pfn = self._fast_dict(access).get(vaddr >> PAGE_SHIFT)
-        if pfn is not None:
-            self.tlb.hits += 1
-        return pfn
-
-    # repro: hot
-    def fast_view(self, access):
-        """The synced ``{vpn: pfn}`` memo for one access type, or ``None``.
-
-        Batched callers (``Cpu.access_run``) probe the returned dict
-        directly in their inner loop and account the hits in bulk; the
-        view is invalid as soon as anything bumps the epoch, so it must
-        be re-fetched after every slow-path excursion.
-        """
-        if self.epoch is None:
+        entry = entries.get(vaddr >> PAGE_SHIFT)
+        if entry is None or not (access is AccessType.READ
+                                 or entry.allows(access)):
             return None
-        return self._fast_dict(access)
+        self.tlb.hits += 1
+        return entry.pfn
 
     # repro: hot
     def probe_run(self, vaddrs, access):
-        """Resolve a whole run from the memo, or ``None`` on any miss.
+        """Resolve a whole run from the TLB, or ``None`` on any miss.
 
         Probes have no side effects, so a miss anywhere simply means
         "take the slow path for the whole run" — nothing to undo.  On
         success the run is architecturally N TLB hits, accounted in
-        bulk.  Epoch sync and memo selection are inlined: this is the
-        innermost frame of the batched hot path.
+        bulk.
         """
-        epoch = self.epoch
-        if epoch is None:
+        entries = self.tlb_entries
+        if entries is None:
             return None
-        if self._fast_epoch != epoch.value:
-            self._fast_read.clear()
-            self._fast_write.clear()
-            self._fast_exec.clear()
-            self._fast_epoch = epoch.value
-        if access is AccessType.READ:
-            get = self._fast_read.get
-        elif access is AccessType.WRITE:
-            get = self._fast_write.get
-        else:
-            get = self._fast_exec.get
-        pfns = [get(v >> PAGE_SHIFT) for v in vaddrs]
-        if None in pfns:
-            return None
+        get = entries.get
+        read = access is AccessType.READ
+        pfns = []
+        append = pfns.append
+        for vaddr in vaddrs:
+            entry = get(vaddr >> PAGE_SHIFT)
+            if entry is None or not (read or entry.allows(access)):
+                return None
+            append(entry.pfn)
         self.tlb.hits += len(pfns)
         return pfns
-
-    def _remember(self, vaddr, access, pfn):
-        if self.epoch is None:
-            return
-        # Sync *after* the walk: the walk itself may have bumped the
-        # epoch (TLB capacity eviction during install).
-        self._fast_dict(access)[vaddr >> PAGE_SHIFT] = pfn
 
     # -- translation -------------------------------------------------------
 
@@ -175,12 +130,8 @@ class Mmu:
         """
         pfn = self.tlb.lookup(vaddr, access)
         if pfn is not None:
-            self._remember(vaddr, access, pfn)
             return pfn, None
-        pfn, fault = self._walk(vaddr, access, enclave)
-        if fault is None:
-            self._remember(vaddr, access, pfn)
-        return pfn, fault
+        return self._walk(vaddr, access, enclave)
 
     def _walk(self, vaddr, access, enclave):
         """The TLB-miss walk, in the order of the module docstring; the
@@ -235,8 +186,8 @@ class Mmu:
 
     # Setting A/D bits to True is monotone-permissive: it can only
     # turn a would-be Autarky A/D fault into a hit, never invalidate a
-    # translation an existing memo relies on, so the fast path stays
-    # sound without an epoch bump (which would defeat the memo).
+    # translation a columnar stamp relies on, so stamps stay sound
+    # without an epoch bump (which would drop them on every fill).
     # repro: allow[effects/epoch-soundness]
     def _update_ad(self, vaddr, pte, access):
         pte.accessed = True

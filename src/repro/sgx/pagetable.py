@@ -51,8 +51,8 @@ class PageTable:
     All mutation goes through named methods rather than raw dict access
     so that attacker actions (``unmap``, ``clear_accessed_dirty``,
     ``set_protection``) and legitimate OS actions are explicit in traces
-    and tests.  Every mutator bumps the translation epoch, so memoized
-    translations (the MMU fast path) can never observe a stale PTE.
+    and tests.  Every mutator bumps the translation epoch, so no
+    columnar stamp taken before a PTE change is replayed after it.
     """
 
     def __init__(self, epoch=None):

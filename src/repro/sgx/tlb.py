@@ -11,10 +11,12 @@ Two properties matter for the paper:
   cached, later hits bypass the page table entirely, which is exactly
   the time-of-check semantics §5.1.4 reasons about.
 
+The TLB is the simulator's only translation cache: the MMU's fast
+path probes its live entry map (:meth:`Tlb.residency`) directly.
 Every operation that removes an entry — full flush, single-page
 shootdown, capacity eviction — bumps the shared translation epoch, so
-the MMU's memoized fast path can never return a translation the TLB no
-longer holds.
+a columnar stamp (:mod:`repro.sgx.columnar`) can never replay a run
+whose translations the TLB no longer holds.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class TlbEntry:
 
     # repro: hot
     def allows(self, access):
+        """Whether this entry allows ``access``: the one statement of
+        the rule.  Any resident entry allows a read, so the fast paths
+        probe a read by residency alone and ask this for the rest."""
         if access is AccessType.READ:
             return True
         if access is AccessType.WRITE:
@@ -78,9 +83,9 @@ class Tlb:
         return entry.pfn
 
     # Installing an entry only *adds* a translation the walk just
-    # validated; memos minted earlier stay correct, so no epoch bump
-    # is needed on the fill path (the capacity-eviction branch, which
-    # removes a translation, does bump).
+    # validated; columnar stamps taken earlier stay correct, so no
+    # epoch bump is needed on the fill path (the capacity-eviction
+    # branch, which removes a translation, does bump).
     # repro: allow[effects/epoch-soundness]
     # repro: hot
     def install(self, vaddr, pfn, writable, executable):
@@ -112,11 +117,13 @@ class Tlb:
 
     def residency(self):
         """The live ``{vpn: TlbEntry}`` map — the residency/permission
-        table the columnar engine compiles against.
+        table the MMU's fast path probes and the columnar engine
+        compiles against.
 
         Callers must treat it as read-only; it is mutated strictly in
-        place by the TLB itself, and every entry removal bumps the
-        shared epoch, which is what keeps compiled columns sound.
+        place by the TLB itself, so an alias never goes stale, and
+        every entry removal bumps the shared epoch, which is what keeps
+        compiled columns sound.
         """
         return self._entries
 

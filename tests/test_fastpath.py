@@ -1,7 +1,7 @@
-"""Fast-path equivalence: the memoized translation engine is invisible.
+"""Fast-path equivalence: the TLB-probing translation engine is invisible.
 
 Every test here runs the same deterministic scenario twice — once with
-the epoch-guarded fast path enabled, once with it disabled — and
+the fast path enabled, once with it disabled — and
 asserts the complete observable state is identical: returned PFNs,
 fault sequences (order, addresses, kinds), A/D-bit state of every
 mapped page, cycle totals per category, and all event counters.  The
@@ -141,7 +141,7 @@ class TestPolicyEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_eviction_churn(self, policy):
         """Working set larger than the paging budget: every access may
-        trigger eviction, so the memo is invalidated constantly."""
+        trigger eviction, so the TLB is shot down constantly."""
         slow, fast = both_modes(Scenario(
             lambda fp: build(policy, fp, enclave_managed_budget=96,
                              quota_pages=128),
@@ -239,7 +239,7 @@ class TestInvalidationEquivalence:
         assert slow == fast
 
     def test_emodpr_restriction(self):
-        """SGX2 permission reduction: the memoized translation must die
+        """SGX2 permission reduction: the cached translation must die
         with the shootdown, and the restricted write must behave
         identically (including a possible abort)."""
         def drive(system):
@@ -265,15 +265,24 @@ class TestInvalidationEquivalence:
         assert slow == fast
 
 
-class TestMemoUnit:
-    """Direct unit checks of the memo's epoch protocol."""
+class TestTlbProbe:
+    """Direct unit checks of the fast path's TLB probe."""
 
     def _host_kernel(self, **kwargs):
         return HostKernel(epc_pages=64, **kwargs)
 
-    def _map_and_warm(self, kernel, vaddr, pfn):
-        kernel.page_table.map(vaddr, pfn, accessed=True, dirty=True)
+    def _map_and_warm(self, kernel, vaddr, pfn, writable=True):
+        kernel.page_table.map(vaddr, pfn, writable=writable,
+                              accessed=True, dirty=True)
         return kernel.mmu.translate(vaddr, AccessType.READ)
+
+    def _access(self, kernel, vaddr, access):
+        """What ``Cpu.access`` does before any fault delivery: the fast
+        path's probe, then the reference lookup/walk."""
+        pfn = kernel.mmu.fast_hit(vaddr, access)
+        if pfn is not None:
+            return pfn, None
+        return kernel.mmu.translate_nofault(vaddr, access)
 
     def test_fast_hit_after_translate(self):
         kernel = self._host_kernel()
@@ -301,14 +310,32 @@ class TestMemoUnit:
         kernel.tlb.flush()
         assert kernel.mmu.fast_hit(0x5000, AccessType.READ) is None
 
-    def test_access_types_memoized_separately(self):
-        kernel = self._host_kernel()
-        self._map_and_warm(kernel, 0x5000, 7)
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_write_through_read_only_entry_is_not_a_fast_hit(self, tier):
+        kernel = self._host_kernel(fastpath=tier)
+        self._map_and_warm(kernel, 0x5000, 7, writable=False)
+        hits, walks = kernel.tlb.hits, kernel.mmu.walks
         assert kernel.mmu.fast_hit(0x5000, AccessType.WRITE) is None
+        pfn, fault = self._access(kernel, 0x5000, AccessType.WRITE)
+        assert pfn is None
+        assert (fault.write, fault.present, fault.reason) == \
+            (True, True, "protection")
+        assert kernel.tlb.hits == hits
+        assert kernel.mmu.walks == walks + 1
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_write_through_read_filled_writable_entry_is_one_tlb_hit(
+            self, tier):
+        kernel = self._host_kernel(fastpath=tier)
+        self._map_and_warm(kernel, 0x5000, 7)
+        hits, walks = kernel.tlb.hits, kernel.mmu.walks
+        cycles = kernel.clock.cycles
+        assert self._access(kernel, 0x5000, AccessType.WRITE) == (7, None)
+        assert kernel.tlb.hits == hits + 1
+        assert kernel.mmu.walks == walks
+        assert kernel.clock.cycles == cycles
 
     def _map_run(self, kernel, n, first_pfn=10):
-        # Map everything up front: map() itself bumps the epoch, so
-        # interleaving map and translate would drop earlier memos.
         vaddrs = [0x10000 + i * PAGE_SIZE for i in range(n)]
         for i, vaddr in enumerate(vaddrs):
             kernel.page_table.map(vaddr, first_pfn + i,
@@ -335,8 +362,8 @@ class TestMemoUnit:
     def test_tlb_capacity_eviction_bumps_epoch(self):
         kernel = self._host_kernel(tlb_capacity=2)
         vaddrs = self._map_run(kernel, 3)
-        # The third TLB install evicted the first entry → epoch bump →
-        # the whole memo (not just the evicted page) was dropped.
+        # The third TLB install evicted the first entry (an epoch bump,
+        # which invalidates columnar stamps); the probe misses on it.
         assert kernel.mmu.probe_run(vaddrs[:2], AccessType.READ) is None
 
     def test_fastpath_disabled_is_inert(self):

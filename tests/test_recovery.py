@@ -341,8 +341,8 @@ class TestSupervisor:
         with pytest.raises(Quarantined):
             supervisor.recover("victim")
         assert record.state == "quarantined"
-        assert record.restarts == record.policy.max_restarts
-        assert hostile.attempts == record.policy.max_restarts
+        assert record.restarts == supervisor.restart_policy.max_restarts
+        assert hostile.attempts == supervisor.restart_policy.max_restarts
 
     def test_quarantined_member_refuses_recovery(self):
         program = make_program("rate_limit")
@@ -352,7 +352,7 @@ class TestSupervisor:
             supervisor.recover("victim")
         with pytest.raises(Quarantined):
             supervisor.recover("victim")
-        assert record.restarts == record.policy.max_restarts
+        assert record.restarts == supervisor.restart_policy.max_restarts
 
     def test_relaunch_with_another_measurement_is_never_adopted(self):
         kernel = HostKernel(epc_pages=EPC_PAGES)
@@ -363,8 +363,8 @@ class TestSupervisor:
         supervisor.mark_down("victim", EnclaveCrashed("host killed it"))
         with pytest.raises(Quarantined):
             supervisor.recover("victim")
-        assert record.restarts == record.policy.max_restarts == 3
-        assert program.launches == 1 + record.policy.max_restarts
+        assert record.restarts == supervisor.restart_policy.max_restarts == 3
+        assert program.launches == 1 + supervisor.restart_policy.max_restarts
         assert sum("wrong measurement" in failure
                    for failure in record.failures) == 3
         assert record.runtime is None
